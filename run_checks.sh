@@ -13,7 +13,11 @@
 #   5. scalar build      RDP_SIMD=scalar build + full ctest suite (the
 #                        portable fallback backend must pass everything the
 #                        native-SIMD build passes, bit for bit)
-#   6. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
+#   6. benchmark         python3 perfbench/test_run.py: builds the traced
+#      self-test         benchmark binary, whose -Wl,--wrap interposers
+#                        fail to link when a wrapped library signature
+#                        changes, and checks that every wrapper fires
+#   7. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
 #                        (fault injection), RDP_INCREMENTAL=1 ctest -L
@@ -33,8 +37,8 @@
 # skipping it.
 #
 # Usage: ./run_checks.sh [--fast] [--strict]
-#   --fast     skip the sanitizer matrix (format + build + tests + lint +
-#              tidy only)
+#   --fast     skip the sanitizer matrix (format + builds + tests + lint +
+#              tidy + benchmark self-test only)
 #   --strict   missing clang-format/clang-tidy/rdp-tidy plugin fails the
 #              run instead of skipping with a notice
 
@@ -193,7 +197,21 @@ else
     record_failure "scalar-backend build"
 fi
 
-# ---- 6. sanitizer matrix --------------------------------------------------
+# ---- 6. benchmark self-test -----------------------------------------------
+# The end-to-end benchmark (BENCHMARK.json) traces the library through
+# link-time wrappers on its public layer entry points. Its self-test builds
+# that binary and runs every workload at a tiny scale, so a renamed or
+# re-typed entry point fails here instead of silently losing its layer.
+note "benchmark self-test (perfbench/test_run.py)"
+if command -v python3 >/dev/null 2>&1; then
+    if ! python3 perfbench/test_run.py; then
+        record_failure "benchmark self-test"
+    fi
+else
+    missing_tool "python3"
+fi
+
+# ---- 7. sanitizer matrix --------------------------------------------------
 if [[ "$FAST" == 0 ]]; then
     sanitize_config() {
         local preset="$1" label="$2"

@@ -6,7 +6,9 @@
 
 #include <iomanip>
 #include <limits>
+#include <optional>
 #include <sstream>
+#include <string>
 
 #include "audit/invariant_audit.hpp"
 #include "db/netlist_io.hpp"
@@ -16,7 +18,6 @@
 #include "place/nesterov.hpp"
 #include "place/objective.hpp"
 #include "place/routability_loop.hpp"
-#include "recover/checkpoint.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
@@ -113,10 +114,20 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
     if (!dopts.dir.empty() || !dopts.resume.empty())
         fingerprint = durable_fingerprint(d, cfg_);
     recover::DurableCheckpointer durable(dopts, fingerprint);
+
+    // The pipeline state (DESIGN.md §11, §16): resumed from the journal or
+    // started fresh, captured as each stage's rollback point and journal
+    // entry, and carried from stage 1 into stage 2.
     const std::optional<recover::PipelineSnapshot> resume =
         durable.load_resume();
-    const bool resume_stage2 =
-        resume && resume->stage == recover::kStageRoutability;
+    recover::PipelineSnapshot st;
+    if (resume) {
+        st = *resume;
+    } else {
+        st.stage = recover::kStageWirelength;
+        st.lambda1_growth = cfg_.lambda1_growth;
+        st.initial_step = NesterovConfig{}.initial_step;
+    }
 
     // Initial positions: movable cells near the centroid of fixed pins
     // (or the region center), with a small deterministic spread.
@@ -143,39 +154,42 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                            cfg_.gamma_frac *
                                std::max(grid.bin_w(), grid.bin_h()));
 
-    auto project = [&](size_t slot, Vec2 p) {
-        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
-        const Rect r = d.region;
-        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
-                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
-    };
-
     // ---- Stage 1: wirelength-driven GP ------------------------------------
     // Skipped entirely when resuming from a routability-stage snapshot:
     // everything it would compute is superseded by the snapshot state.
-    if (!resume_stage2) {
+    if (st.stage == recover::kStageWirelength) {
         const AuditStageScope audit_scope("wirelength-gp");
         recover::StageGuard sguard("wirelength-gp", cfg_.recover,
                                    &res.recovery);
-        std::vector<Vec2> pos(movable.size());
-        for (size_t i = 0; i < movable.size(); ++i)
-            pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
-        // Recovery-adjustable knobs; identical to the configured values on
-        // a clean run (the recovery ladder is the only writer).
+        // The solver holds the positions and momentum, the objective
+        // holds lambda_1/gamma; `st` holds the iteration cursor, the
+        // recovery-adjustable knobs (identical to the configured values
+        // on a clean run — the recovery ladder is their only writer) and
+        // the history.
         NesterovConfig nes_cfg;
-        double lambda1_growth = cfg_.lambda1_growth;
-        NesterovSolver solver(pos, nes_cfg);
+        nes_cfg.initial_step = st.initial_step;
+        std::vector<Vec2> pos = std::move(st.pos);
+        if (!resume) {
+            pos.resize(movable.size());
+            for (size_t i = 0; i < movable.size(); ++i)
+                pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
+        }
+        NesterovSolver solver(std::move(pos), nes_cfg);
         std::vector<Vec2> grad;
-
-        const double gamma0 =
-            cfg_.gamma_frac * std::max(grid.bin_w(), grid.bin_h());
-        const double gamma_min =
-            cfg_.gamma_min_frac * std::max(grid.bin_w(), grid.bin_h());
-        double gamma = gamma0;
-
-        // lambda_1 initialization: ||grad W||_1 / ||grad D||_1.
-        obj.set_lambda1(0.0);
-        {
+        if (resume) {
+            // Rebuild the optimizer exactly as serialized: positions plus
+            // the full momentum state, under the snapshot's (possibly
+            // recovery-adjusted) step and schedule knobs. The iterations
+            // from here on are bitwise identical to the uninterrupted run.
+            solver.restore(st.opt);
+            st.opt = {};  // the solver owns the momentum from here on
+            obj.set_lambda1(st.lambda1);
+            obj.set_gamma(st.gamma);
+            RDP_LOG_INFO() << "resumed wirelength-gp at iteration "
+                           << st.iter;
+        } else {
+            // lambda_1 initialization: ||grad W||_1 / ||grad D||_1.
+            obj.set_lambda1(0.0);
             const ObjectiveTerms t0terms =
                 obj.evaluate(d, movable, solver.reference(), grad);
             const double l1 =
@@ -185,62 +199,53 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
             obj.set_lambda1(l1);
         }
 
-        // Physical wirelength bound (one die span per net), the floor of
-        // the explosion threshold: early-stage spreading legitimately
-        // grows the WA total many-fold and must never false-positive.
-        double die_bound = d.region.width() + d.region.height();
-        {
-            int nets = 0;
-            for (const Net& n : d.nets)
-                if (n.degree() >= 2) ++nets;
-            die_bound *= static_cast<double>(std::max(nets, 1));
-        }
+        const double gamma_min =
+            cfg_.gamma_min_frac * std::max(grid.bin_w(), grid.bin_h());
+        const auto project = region_clamp(d, movable);
+        const double die_bound = die_wirelength_bound(d);
+        int& it = st.iter;
 
-        recover::StageCheckpoint ckpt;
-        size_t hist_at_ckpt = 0;
-        double last_wl = 0.0;
-
-        int it = 0;
-        if (resume && resume->stage == recover::kStageWirelength) {
-            // Rebuild the optimizer exactly as serialized: positions plus
-            // the full momentum state, under the snapshot's (possibly
-            // recovery-adjusted) step and schedule knobs. The iterations
-            // from here on are bitwise identical to the uninterrupted run.
-            it = resume->iter;
-            res.wl_iters = resume->iter;
-            nes_cfg.initial_step = resume->initial_step;
-            lambda1_growth = resume->lambda1_growth;
-            solver = NesterovSolver(resume->pos, nes_cfg);
-            solver.restore(resume->opt);
-            obj.set_lambda1(resume->lambda1);
-            gamma = resume->gamma;
-            obj.set_gamma(gamma);
-            last_wl = resume->last_wl;
-            RDP_LOG_INFO() << "resumed wirelength-gp at iteration " << it;
-        }
+        // Rollback point: the newest capture, taken every durable.every()
+        // iterations while recovery is active or the journal is enabled —
+        // so it is always the newest journal entry. The first iteration
+        // always captures (iter -1 = none yet; a run resumed under another
+        // cadence may start between multiples), so a recovery, which only
+        // runs while the guard is active, always has a point to restore.
+        recover::PipelineSnapshot ckpt;
+        ckpt.iter = -1;
+        double explosion_bound = 0.0;
+        auto capture = [&] {
+            ckpt = st;
+            ckpt.pos = solver.solution();
+            ckpt.opt = solver.snapshot();
+            ckpt.lambda1 = obj.lambda1();
+            ckpt.gamma = obj.gamma();
+            explosion_bound = cfg_.recover.hpwl_explosion_factor *
+                              std::max(ckpt.last_wl, die_bound);
+            durable.save(ckpt);
+        };
         // Recovery ladder for the wirelength stage: roll back to the last
         // checkpoint with a halved step and a tightened lambda schedule.
         // Returns false once retries are exhausted (stage degrades to the
         // checkpoint state).
         auto apply_recovery = [&](recover::FaultKind kind,
-                                  const char* what) -> bool {
-            const bool retry = sguard.allow_retry(kind, it, what);
-            if (ckpt.valid()) {
-                if (retry) {
-                    nes_cfg.initial_step *= cfg_.recover.step_shrink;
-                    lambda1_growth = 1.0 + (lambda1_growth - 1.0) *
-                                               cfg_.recover.lambda_tighten;
-                }
-                solver = NesterovSolver(ckpt.pos, nes_cfg);
-                obj.set_lambda1(ckpt.lambda1);
-                gamma = ckpt.gamma;
-                obj.set_gamma(gamma);
-                res.overflow_history.resize(hist_at_ckpt);
-                res.wl_iters = ckpt.iter;
-                it = ckpt.iter;
+                                  const std::string& what) -> bool {
+            const int failed_at = it;
+            const bool retry = sguard.allow_retry(kind, failed_at, what);
+            if (retry) {
+                st.initial_step *= cfg_.recover.step_shrink;
+                st.lambda1_growth = 1.0 + (st.lambda1_growth - 1.0) *
+                                              cfg_.recover.lambda_tighten;
             }
+            nes_cfg.initial_step = st.initial_step;
+            solver = NesterovSolver(ckpt.pos, nes_cfg);
+            obj.set_lambda1(ckpt.lambda1);
+            obj.set_gamma(ckpt.gamma);
+            it = ckpt.iter;
+            st.last_wl = ckpt.last_wl;
+            st.overflow_history = ckpt.overflow_history;
             if (!retry) {
-                sguard.degrade(kind, it,
+                sguard.degrade(kind, failed_at,
                                "retries exhausted; finishing on the last"
                                " checkpoint");
                 return false;
@@ -249,105 +254,33 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
             std::ostringstream oss;
             oss << "restored checkpoint of iteration " << ckpt.iter
                 << "; step x" << cfg_.recover.step_shrink
-                << ", lambda1 growth -> " << lambda1_growth;
-            sguard.record(kind, it, "rollback", oss.str());
+                << ", lambda1 growth -> " << st.lambda1_growth;
+            sguard.record(kind, failed_at, "rollback", oss.str());
             return true;
         };
 
         while (it < cfg_.max_wl_iters) {
             if (sguard.over_budget(it)) break;
-            if (sguard.active() &&
-                (!ckpt.valid() ||
-                 it - ckpt.iter >= cfg_.recover.checkpoint_every)) {
-                ckpt.iter = it;
-                ckpt.pos = solver.solution();
-                ckpt.lambda1 = obj.lambda1();
-                ckpt.gamma = gamma;
-                ckpt.wirelength = last_wl;
-                hist_at_ckpt = res.overflow_history.size();
-            }
-            if (durable.enabled() && it % durable.every() == 0) {
-                recover::PipelineSnapshot snap;
-                snap.stage = recover::kStageWirelength;
-                snap.iter = it;
-                snap.pos = solver.solution();
-                snap.opt = solver.snapshot();
-                snap.lambda1 = obj.lambda1();
-                snap.gamma = gamma;
-                snap.lambda1_growth = lambda1_growth;
-                snap.initial_step = nes_cfg.initial_step;
-                snap.last_wl = last_wl;
-                durable.save(snap);
-            }
+            if ((sguard.active() || durable.enabled()) &&
+                (it % durable.every() == 0 || ckpt.iter < 0))
+                capture();
             recover::crash::maybe_kill("wl-mid");
             try {
-                if (sguard.active() &&
-                    recover::fault::fire("wirelength-gp",
-                                         recover::FaultKind::HpwlExplosion,
-                                         it)) {
-                    // Fling the optimizer state far outside the die.
-                    std::vector<Vec2> blown = solver.solution();
-                    const Vec2 c = d.region.center();
-                    for (Vec2& p : blown)
-                        p = {c.x + (p.x - c.x) * 1e4,
-                             c.y + (p.y - c.y) * 1e4};
-                    solver = NesterovSolver(std::move(blown), nes_cfg);
-                }
+                fling_fault(sguard, it, d, solver, nes_cfg);
                 const ObjectiveTerms terms =
                     obj.evaluate(d, movable, solver.reference(), grad);
-                if (sguard.active()) {
-                    // Divergence detection (observe-only): non-finite
-                    // terms, or wirelength beyond k x checkpoint/die bound.
-                    const double tsum = terms.wirelength + terms.density +
-                                        terms.overflow;
-                    if (!std::isfinite(tsum)) {
-                        std::ostringstream oss;
-                        oss << "non-finite objective terms at iteration "
-                            << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN,
-                            "wirelength-gp", oss.str());
-                    }
-                    const double bound =
-                        cfg_.recover.hpwl_explosion_factor *
-                        std::max(ckpt.wirelength, die_bound);
-                    if (terms.wirelength > bound) {
-                        std::ostringstream oss;
-                        oss << "WA wirelength " << terms.wirelength
-                            << " exceeds the explosion bound " << bound;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::HpwlExplosion,
-                            "wirelength-gp", oss.str());
-                    }
-                }
-                res.overflow_history.push_back(terms.overflow);
                 if (sguard.active() && !grad.empty() &&
                     recover::fault::fire("wirelength-gp",
                                          recover::FaultKind::GradientNaN,
                                          it))
                     grad[0].x = std::numeric_limits<double>::quiet_NaN();
-                if (sguard.active()) {
-                    // Catch non-finite gradients before they step: a NaN
-                    // position would poison every later evaluation (and the
-                    // grid index casts behind it).
-                    for (size_t gi = 0; gi < grad.size(); ++gi) {
-                        if (std::isfinite(grad[gi].x) &&
-                            std::isfinite(grad[gi].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite gradient of slot " << gi
-                            << " at iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN,
-                            "wirelength-gp", oss.str());
-                    }
-                }
+                check_evaluation(sguard, it, terms, grad, explosion_bound);
+                st.overflow_history.push_back(terms.overflow);
                 solver.step(grad, project);
-                obj.set_lambda1(obj.lambda1() * lambda1_growth);
-                gamma = std::max(gamma * cfg_.gamma_decay, gamma_min);
-                obj.set_gamma(gamma);
-                ++res.wl_iters;
-                last_wl = terms.wirelength;
+                obj.set_lambda1(obj.lambda1() * st.lambda1_growth);
+                obj.set_gamma(
+                    std::max(obj.gamma() * cfg_.gamma_decay, gamma_min));
+                st.last_wl = terms.wirelength;
                 if (cfg_.verbose && it % 50 == 0) {
                     RDP_LOG_INFO()
                         << "[wl-iter " << it << "] overflow="
@@ -357,19 +290,20 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                     terms.overflow < cfg_.stop_overflow && it > 20;
                 ++it;
                 if (done) break;
-            } catch (const recover::RecoverableError& e) {
-                if (!apply_recovery(e.kind(), e.what())) break;
-            } catch (const AuditFailure& e) {
-                if (!sguard.active()) throw;
-                if (!apply_recovery(recover::classify_audit_failure(e),
-                                    e.what()))
-                    break;
+            } catch (...) {
+                std::string what;
+                const recover::FaultKind kind =
+                    recover::classify_in_flight(sguard.active(), what);
+                if (!apply_recovery(kind, what)) break;
             }
         }
+        st.wl_iters = it;
         const std::vector<Vec2>& sol = solver.solution();
         for (size_t i = 0; i < movable.size(); ++i)
             d.cells[static_cast<size_t>(movable[i])].pos = sol[i];
     }
+    res.wl_iters = st.wl_iters;
+    res.overflow_history = st.overflow_history;
 
     // ---- Stage 2: routability-driven GP ------------------------------------
     if (cfg_.mode != PlacerMode::WirelengthOnly) {
@@ -379,8 +313,7 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                                    &res.recovery);
         try {
             const RoutabilityStats rs = run_routability_stage(
-                d, movable, obj, cfg_, rails, first_filler, &durable,
-                resume_stage2 ? &*resume : nullptr);
+                d, movable, obj, cfg_, rails, first_filler, &durable, &st);
             res.route_outer_iters = rs.outer_iters;
             res.congestion_history = rs.total_overflow;
             res.penalty_history = rs.penalty;
@@ -390,25 +323,17 @@ PlaceResult GlobalPlacer::place(const Design& input) const {
                                        rs.recovery.events.end());
             res.recovery.rollbacks += rs.recovery.rollbacks;
             res.recovery.degraded_stages += rs.recovery.degraded_stages;
-        } catch (const AuditFailure& e) {
+        } catch (...) {
             // The stage handles in-loop failures itself; anything escaping
             // (entry/exit audits) skips the optional stage: the stage-1
             // placement continues into legalization.
-            if (!sguard.active()) throw;
+            std::string what;
+            const recover::FaultKind kind =
+                recover::classify_in_flight(sguard.active(), what);
             obj.set_congestion(nullptr, nullptr);
             obj.set_extra_density(nullptr);
             obj.set_inflation(nullptr);
-            sguard.degrade(recover::classify_audit_failure(e), -1,
-                           std::string("routability stage skipped: ") +
-                               e.what());
-        } catch (const recover::RecoverableError& e) {
-            if (!sguard.active()) throw;
-            obj.set_congestion(nullptr, nullptr);
-            obj.set_extra_density(nullptr);
-            obj.set_inflation(nullptr);
-            sguard.degrade(e.kind(), -1,
-                           std::string("routability stage skipped: ") +
-                               e.what());
+            sguard.degrade(kind, -1, "routability stage skipped: " + what);
         }
     }
 

@@ -108,13 +108,14 @@ struct PlacerConfig {
     TetrisConfig tetris;
     DetailedPlaceConfig dp;
 
-    /// Fault-tolerant pipeline runner knobs (DESIGN.md §11): checkpoints,
-    /// divergence thresholds, bounded retries, stage budgets. With the
-    /// defaults a clean run is bitwise identical to recovery disabled.
+    /// Fault-tolerant pipeline runner knobs (DESIGN.md §11): divergence
+    /// thresholds, bounded retries, stage budgets. With the defaults a
+    /// clean run is bitwise identical to recovery disabled.
     recover::RecoverConfig recover;
 
     /// Durable checkpoint/resume layer (DESIGN.md §16): journal directory,
-    /// stage-1 save cadence, and resume request. RDP_CHECKPOINT_DIR /
+    /// the stage-1 checkpoint cadence (which recovery rollbacks share),
+    /// and resume request. RDP_CHECKPOINT_DIR /
     /// RDP_CHECKPOINT_EVERY / RDP_RESUME override these; the layer stays
     /// off while the directory is empty, and a resumed run finishes
     /// bitwise identical to the uninterrupted one.

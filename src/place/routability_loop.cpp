@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -10,7 +11,6 @@
 #include "audit/invariant_audit.hpp"
 #include "congestion/rudy.hpp"
 #include "pinaccess/dynamic_density.hpp"
-#include "recover/checkpoint.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/fault_injection.hpp"
 #include "recover/kill_points.hpp"
@@ -69,14 +69,16 @@ double budget_inflation(const Design& d, int first_filler,
     return filler_ratio;
 }
 
-namespace {
+std::function<Vec2(size_t, Vec2)> region_clamp(
+    const Design& d, const std::vector<int>& movable) {
+    return [&d, &movable](size_t slot, Vec2 p) {
+        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
+        const Rect r = d.region;
+        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
+                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
+    };
+}
 
-constexpr const char* kStage = "routability-gp";
-
-/// Physical upper bound on any in-region WA wirelength: one die span
-/// (width + height) per routed net. The explosion threshold is floored at
-/// a multiple of this so legitimate many-fold wirelength growth (early
-/// spreading) can never false-positive.
 double die_wirelength_bound(const Design& d) {
     int nets = 0;
     for (const Net& n : d.nets)
@@ -84,6 +86,53 @@ double die_wirelength_bound(const Design& d) {
     return (d.region.width() + d.region.height()) *
            static_cast<double>(std::max(nets, 1));
 }
+
+void check_evaluation(const recover::StageGuard& guard, int iter,
+                      const ObjectiveTerms& terms,
+                      const std::vector<Vec2>& grad, double explosion_bound) {
+    if (!guard.active()) return;
+    using recover::FaultKind;
+    const double tsum = terms.wirelength + terms.density + terms.overflow +
+                        terms.congestion;
+    if (!std::isfinite(tsum)) {
+        std::ostringstream oss;
+        oss << "non-finite objective terms at Nesterov iteration " << iter;
+        throw recover::RecoverableError(FaultKind::GradientNaN, guard.stage(),
+                                        oss.str());
+    }
+    if (terms.wirelength > explosion_bound) {
+        std::ostringstream oss;
+        oss << "WA wirelength " << terms.wirelength
+            << " exceeds the explosion bound " << explosion_bound;
+        throw recover::RecoverableError(FaultKind::HpwlExplosion,
+                                        guard.stage(), oss.str());
+    }
+    for (size_t gi = 0; gi < grad.size(); ++gi) {
+        if (std::isfinite(grad[gi].x) && std::isfinite(grad[gi].y)) continue;
+        std::ostringstream oss;
+        oss << "non-finite gradient of slot " << gi
+            << " at Nesterov iteration " << iter;
+        throw recover::RecoverableError(FaultKind::GradientNaN, guard.stage(),
+                                        oss.str());
+    }
+}
+
+void fling_fault(const recover::StageGuard& guard, int iter, const Design& d,
+                 NesterovSolver& solver, const NesterovConfig& cfg) {
+    if (!guard.active() ||
+        !recover::fault::fire(guard.stage(), recover::FaultKind::HpwlExplosion,
+                              iter))
+        return;
+    std::vector<Vec2> blown = solver.solution();
+    const Vec2 c = d.region.center();
+    for (Vec2& p : blown)
+        p = {c.x + (p.x - c.x) * 1e4, c.y + (p.y - c.y) * 1e4};
+    solver = NesterovSolver(std::move(blown), cfg);
+}
+
+namespace {
+
+constexpr const char* kStage = "routability-gp";
 
 /// Recovery-side mirror of audit::check_congestion_map for runs with the
 /// audits compiled out or disabled: same predicate, RecoverableError
@@ -135,151 +184,139 @@ RoutabilityStats run_routability_stage(
     Design& d, const std::vector<int>& movable, PlacementObjective& obj,
     const PlacerConfig& cfg, const std::vector<PGRail>& selected_rails,
     int first_filler, recover::DurableCheckpointer* durable,
-    const recover::PipelineSnapshot* resume) {
-    if (resume != nullptr && resume->stage != recover::kStageRoutability)
-        resume = nullptr;
+    const recover::PipelineSnapshot* entry) {
+    const bool resuming =
+        entry != nullptr && entry->stage == recover::kStageRoutability;
     const AuditStageScope audit_scope(kStage);
     RoutabilityStats stats;
     recover::StageGuard guard(kStage, cfg.recover, &stats.recovery);
+    const bool journal = durable != nullptr && durable->enabled();
     const BinGrid& grid = obj.grid();
-
-    // Recovery-adjustable knobs. On a clean run they keep their configured
-    // values for the whole stage, so behavior is identical to an unguarded
-    // loop; the recovery ladder below is the only writer.
-    RouterConfig router_cfg = cfg.router;
-    auto router = std::make_unique<GlobalRouter>(grid, router_cfg);
-    NesterovConfig nes_cfg;
 
     // Incremental congestion estimation (RDP_INCREMENTAL, default on):
     // persistent router / RUDY caches threaded through every estimation of
     // this stage. Pure performance: route(d, &state) and the incremental
     // RUDY maps are bitwise identical to their from-scratch counterparts,
-    // so the knob changes wall clock only, never results. RDP_REBUILD_EPOCH
-    // bounds cache lifetime with a deterministic periodic full rebuild
-    // (0 disables the epoch; see DESIGN.md §12).
+    // so the knob changes wall clock only, never results (DESIGN.md §12).
     const bool incremental = env::flag_or("RDP_INCREMENTAL", true);
     IncrementalRouteState inc_route;
-    inc_route.rebuild_epoch = static_cast<int>(
-        env::int_or("RDP_REBUILD_EPOCH", 16, 0, 1 << 20));
     IncrementalRudyState inc_rudy;
-    double lambda1_growth = cfg.lambda1_growth;
-
     CongestionField field(grid);
-
-    bool dc = cfg.mode == PlacerMode::Ours && cfg.enable_dc;
-    bool dpa = cfg.mode == PlacerMode::Ours && cfg.enable_dpa;
-
     auto scheme = make_inflation_scheme(cfg, d.num_cells());
-    std::vector<double> effective_ratios(
-        static_cast<size_t>(d.num_cells()), 1.0);
-    obj.set_inflation(&effective_ratios);
-
     const GridF rail_area = rail_area_per_bin(selected_rails, grid);
-    // Static PG density (Xplace-Route style): fixed before the loop.
-    GridF extra = static_pg_density(rail_area, cfg.static_pg_weight);
-    obj.set_extra_density(&extra);
 
-    // Optimizer state: continue from the stage-1 result.
-    std::vector<Vec2> pos(movable.size());
-    for (size_t i = 0; i < movable.size(); ++i)
-        pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
-
-    auto project = [&](size_t slot, Vec2 p) {
-        const Cell& c = d.cells[static_cast<size_t>(movable[slot])];
-        const Rect r = d.region;
-        return Vec2{std::clamp(p.x, r.lx + c.width / 2, r.hx - c.width / 2),
-                    std::clamp(p.y, r.ly + c.height / 2, r.hy - c.height / 2)};
-    };
-
-    double best_metric = std::numeric_limits<double>::max();
-    double best_overflow = std::numeric_limits<double>::max();
-    std::vector<Vec2> best_pos = pos;
-    // Bookkeeping paired with best_pos: the snapshot is taken before the
-    // iteration's inflation update, so the state it was scored with is the
-    // *current* ratios/extra charge — restored together at stage end.
-    std::vector<double> best_ratios = effective_ratios;
-    double best_extra_area = grid_sum(extra);
-    InflationSnapshot best_inflation = scheme->snapshot();
-    int best_iter = -1;
-    int stall = 0;
+    // The carried loop state lives in the value the journal serializes
+    // (DESIGN.md §11, §16). A capture is a copy of it plus the pieces
+    // held elsewhere — lambda_1/gamma in the objective, the inflation
+    // scheme's history, the congestion map — and a resume is one
+    // assignment plus pushing those pieces back. On a clean run the
+    // recovery-adjustable knobs in it (step, lambda_1 growth, router
+    // relaxation, dc/dpa) keep their configured values for the whole
+    // stage; the recovery ladder below is their only writer.
+    recover::PipelineSnapshot st;
+    int& outer = st.iter;
     CongestionMap cmap;
+    if (resuming) {
+        st = *entry;
+    } else {
+        st.stage = recover::kStageRoutability;
+        st.lambda1_growth = cfg.lambda1_growth;
+        st.initial_step = NesterovConfig{}.initial_step;
+        // Optimizer state: continue from the stage-1 result.
+        st.pos.resize(movable.size());
+        for (size_t i = 0; i < movable.size(); ++i)
+            st.pos[i] = d.cells[static_cast<size_t>(movable[i])].pos;
+        st.ratios.assign(static_cast<size_t>(d.num_cells()), 1.0);
+        // Static PG density (Xplace-Route style): fixed before the loop.
+        st.extra = static_pg_density(rail_area, cfg.static_pg_weight);
+        // Best-so-far snapshot, paired with its bookkeeping: it is taken
+        // before the iteration's inflation update, so the state it was
+        // scored with is the *current* ratios/extra charge — restored
+        // together at stage end.
+        st.best_metric = std::numeric_limits<double>::max();
+        st.best_overflow = std::numeric_limits<double>::max();
+        st.best_pos = st.pos;
+        st.best_ratios = st.ratios;
+        st.best_extra_area = grid_sum(st.extra);
+        st.best_inflation = scheme->snapshot();
+        st.dc = cfg.mode == PlacerMode::Ours && cfg.enable_dc;
+        st.dpa = cfg.mode == PlacerMode::Ours && cfg.enable_dpa;
+        st.router_overflow_penalty = cfg.router.overflow_penalty;
+        for (const LayerSpec& l : cfg.router.layers)
+            st.router_layer_capacity.push_back(l.capacity);
+        if (entry != nullptr) {
+            st.wl_iters = entry->wl_iters;
+            st.overflow_history = entry->overflow_history;
+        }
+    }
+    obj.set_inflation(&st.ratios);
+    obj.set_extra_density(&st.extra);
     obj.set_lambda2_scale(cfg.dc_weight);
 
-    // Fresh lambda_1 for the stage: the stage-1 schedule leaves it orders
-    // of magnitude above the gradient balance a converged placement needs.
-    // A resumed run restores the serialized lambda_1 below instead.
-    if (resume == nullptr) {
+    std::unique_ptr<GlobalRouter> router;
+    auto rebuild_router = [&] {
+        RouterConfig router_cfg = cfg.router;
+        router_cfg.overflow_penalty = st.router_overflow_penalty;
+        if (st.router_layer_capacity.size() == router_cfg.layers.size())
+            for (size_t i = 0; i < router_cfg.layers.size(); ++i)
+                router_cfg.layers[i].capacity = st.router_layer_capacity[i];
+        router = std::make_unique<GlobalRouter>(grid, router_cfg);
+    };
+    rebuild_router();
+
+    if (resuming) {
+        // Durable resume (DESIGN.md §16): push back the pieces held outside
+        // the state. The incremental caches start empty, exactly as after
+        // a recovery rollback, so the remaining iterations are bitwise
+        // identical to the uninterrupted run.
+        for (size_t i = 0; i < movable.size(); ++i)
+            d.cells[static_cast<size_t>(movable[i])].pos = st.pos[i];
+        obj.set_lambda1(st.lambda1);
+        // Stage 1 was skipped, so the objective still carries its
+        // construction-time gamma, not the decayed stage-1 result.
+        obj.set_gamma(st.gamma);
+        scheme->restore(st.inflation);
+        if (st.cmap_demand.width() > 0)
+            cmap = CongestionMap(grid, st.cmap_demand, st.cmap_capacity);
+        RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
+                       << outer;
+    } else {
+        // Fresh lambda_1 for the stage: the stage-1 schedule leaves it
+        // orders of magnitude above the gradient balance a converged
+        // placement needs.
         std::vector<Vec2> grad0;
         obj.set_lambda1(0.0);
-        const ObjectiveTerms t0 = obj.evaluate(d, movable, pos, grad0);
+        const ObjectiveTerms t0 = obj.evaluate(d, movable, st.pos, grad0);
         const double ratio = t0.density_grad_l1 > 0.0
                                  ? t0.wl_grad_l1 / t0.density_grad_l1
                                  : 1.0;
         obj.set_lambda1(cfg.route_lambda1_boost * ratio);
     }
 
+    // Keep the best-routed snapshot under the severity-weighted overflow
+    // (the quantity detailed-routing violations track), paired with the
+    // bookkeeping it was scored with: the stage must never end worse than
+    // it started.
+    auto keep_if_best = [&](double severe) {
+        if (!(severe < st.best_overflow * (1.0 - cfg.keep_best_margin)))
+            return;
+        st.best_overflow = severe;
+        st.best_pos = st.pos;
+        st.best_ratios = st.ratios;
+        st.best_extra_area = grid_sum(st.extra);
+        st.best_inflation = scheme->snapshot();
+        st.best_iter = outer;
+    };
+    const auto project = region_clamp(d, movable);
     const double die_bound = die_wirelength_bound(d);
-    recover::StageCheckpoint ckpt;
-    std::vector<double> osc_window;  // severity per iter, divergence window
-    double last_wl = 0.0;            // last healthy WA total (explosion base)
-    bool use_ckpt_cmap = false;      // CorruptedDemand fallback, one-shot
-
-    int outer = 0;
-    if (resume != nullptr) {
-        // Durable resume (DESIGN.md §16): restore every input the loop
-        // body reads — positions, schedules, inflation bookkeeping, the
-        // best-so-far snapshot, router relaxations, maps, and divergence
-        // history — then drop the incremental caches exactly as a recovery
-        // rollback does (they reconcile against positions this process
-        // never routed). The remaining iterations are then bitwise
-        // identical to the uninterrupted run.
-        outer = resume->iter;
-        pos = resume->pos;
-        for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
-        obj.set_lambda1(resume->lambda1);
-        // Stage 1 was skipped, so the objective still carries its
-        // construction-time gamma, not the decayed stage-1 result.
-        obj.set_gamma(resume->gamma);
-        lambda1_growth = resume->lambda1_growth;
-        nes_cfg.initial_step = resume->initial_step;
-        last_wl = resume->last_wl;
-        effective_ratios = resume->ratios;
-        scheme->restore(resume->inflation);
-        extra = resume->extra;  // same object obj points at; content swap
-        best_pos = resume->best_pos;
-        best_ratios = resume->best_ratios;
-        best_inflation = resume->best_inflation;
-        best_metric = resume->best_metric;
-        best_overflow = resume->best_overflow;
-        best_extra_area = resume->best_extra_area;
-        best_iter = resume->best_iter;
-        stall = resume->stall;
-        osc_window = resume->osc_window;
-        stats.outer_iters = resume->iter;
-        dc = resume->dc;
-        dpa = resume->dpa;
-        use_ckpt_cmap = resume->use_ckpt_cmap;
-        router_cfg.overflow_penalty = resume->router_overflow_penalty;
-        if (resume->router_layer_capacity.size() ==
-            router_cfg.layers.size())
-            for (size_t i = 0; i < router_cfg.layers.size(); ++i)
-                router_cfg.layers[i].capacity =
-                    resume->router_layer_capacity[i];
-        router = std::make_unique<GlobalRouter>(grid, router_cfg);
-        if (resume->cmap_demand.width() > 0)
-            cmap = CongestionMap(grid, resume->cmap_demand,
-                                 resume->cmap_capacity);
-        inc_route.invalidate();
-        inc_rudy.invalidate();
-        RDP_LOG_INFO() << "resumed " << kStage << " at outer iteration "
-                       << outer;
-    }
+    // Rollback point: the newest capture, taken at every outer-iteration
+    // boundary while recovery is active or the journal is enabled.
+    recover::PipelineSnapshot ckpt;
 
     // Recovery ladder. Returns false once retries are exhausted: the loop
     // then stops and the stage finishes on its best snapshot.
     auto apply_recovery = [&](recover::FaultKind kind,
-                              const char* what) -> bool {
+                              const std::string& what) -> bool {
         using recover::FaultKind;
         if (!guard.allow_retry(kind, outer, what)) {
             guard.degrade(kind, outer,
@@ -291,16 +328,16 @@ RoutabilityStats run_routability_stage(
             case FaultKind::RouterNoProgress: {
                 // Relax the router capacity model: cheaper overflow and
                 // more effective tracks let the negotiation move again.
-                router_cfg.overflow_penalty *= cfg.recover.router_relax;
-                for (LayerSpec& l : router_cfg.layers)
-                    l.capacity /= cfg.recover.router_relax;
-                router = std::make_unique<GlobalRouter>(grid, router_cfg);
+                st.router_overflow_penalty *= cfg.recover.router_relax;
+                for (double& cap : st.router_layer_capacity)
+                    cap /= cfg.recover.router_relax;
+                rebuild_router();
                 // The relaxed config changes the cached routes' cost model;
                 // the config key would force the rebuild anyway, but drop
                 // the cache explicitly.
                 inc_route.invalidate();
                 std::ostringstream oss;
-                oss << "overflow penalty -> " << router_cfg.overflow_penalty
+                oss << "overflow penalty -> " << st.router_overflow_penalty
                     << ", capacity factors x"
                     << 1.0 / cfg.recover.router_relax;
                 guard.record(kind, outer, "relax-router", oss.str());
@@ -314,9 +351,9 @@ RoutabilityStats run_routability_stage(
                 inc_rudy.invalidate();
                 // First retry re-routes (transient corruption); further
                 // ones fall back to the last-good checkpointed map.
-                if (guard.retries_used() > 1 && ckpt.valid() &&
-                    ckpt.cmap.demand().width() > 0) {
-                    use_ckpt_cmap = true;
+                if (guard.retries_used() > 1 &&
+                    ckpt.cmap_demand.width() > 0) {
+                    st.use_ckpt_cmap = true;
                     guard.record(kind, outer, "fallback-demand",
                                  "using the last-good congestion map of"
                                  " iteration " + std::to_string(ckpt.iter));
@@ -327,10 +364,8 @@ RoutabilityStats run_routability_stage(
                 break;
             }
             case FaultKind::CorruptedBudget: {
-                if (ckpt.valid()) {
-                    effective_ratios = ckpt.ratios;
-                    scheme->restore(ckpt.inflation);
-                }
+                st.ratios = ckpt.ratios;
+                scheme->restore(ckpt.inflation);
                 guard.record(kind, outer, "reset-inflation",
                              "restored checkpoint inflation bookkeeping");
                 break;
@@ -343,34 +378,30 @@ RoutabilityStats run_routability_stage(
                 // a restored checkpoint must never be scored against them.
                 inc_route.invalidate();
                 inc_rudy.invalidate();
-                if (ckpt.valid()) {
-                    pos = ckpt.pos;
-                    for (size_t i = 0; i < movable.size(); ++i)
-                        d.cells[static_cast<size_t>(movable[i])].pos =
-                            pos[i];
-                    obj.set_lambda1(ckpt.lambda1);
-                    effective_ratios = ckpt.ratios;
-                    scheme->restore(ckpt.inflation);
-                }
-                nes_cfg.initial_step *= cfg.recover.step_shrink;
-                lambda1_growth =
-                    1.0 + (lambda1_growth - 1.0) * cfg.recover.lambda_tighten;
+                st.pos = ckpt.pos;
+                for (size_t i = 0; i < movable.size(); ++i)
+                    d.cells[static_cast<size_t>(movable[i])].pos = st.pos[i];
+                obj.set_lambda1(ckpt.lambda1);
+                st.ratios = ckpt.ratios;
+                scheme->restore(ckpt.inflation);
+                st.initial_step *= cfg.recover.step_shrink;
+                st.lambda1_growth = 1.0 + (st.lambda1_growth - 1.0) *
+                                              cfg.recover.lambda_tighten;
                 ++stats.recovery.rollbacks;
                 std::ostringstream oss;
                 oss << "restored checkpoint of outer iteration " << ckpt.iter
                     << "; step x" << cfg.recover.step_shrink
-                    << ", lambda1 growth -> " << lambda1_growth;
+                    << ", lambda1 growth -> " << st.lambda1_growth;
                 guard.record(kind, outer, "rollback", oss.str());
                 if (guard.retries_used() >= cfg.recover.max_retries &&
-                    (dc || dpa)) {
+                    (st.dc || st.dpa)) {
                     // Last rung: skip the optional congestion-directed
                     // terms for the rest of the stage.
-                    dc = false;
-                    dpa = false;
+                    st.dc = false;
+                    st.dpa = false;
                     obj.set_congestion(nullptr, nullptr);
-                    extra = static_pg_density(rail_area,
-                                              cfg.static_pg_weight);
-                    obj.set_extra_density(&extra);
+                    st.extra = static_pg_density(rail_area,
+                                                 cfg.static_pg_weight);
                     guard.record(kind, outer, "skip-optional",
                                  "disabled net-moving DC and DPA for the"
                                  " rest of the stage");
@@ -384,71 +415,33 @@ RoutabilityStats run_routability_stage(
     while (outer < cfg.max_route_iters) {
         if (guard.over_budget(outer)) break;
 
-        // Checkpoint the outer boundary: pure copies of the state a
-        // rollback restores, captured only while recovery is active.
-        if (guard.active()) {
-            ckpt.iter = outer;
-            ckpt.pos = pos;
+        // Capture the outer boundary. An outer iteration routes the whole
+        // design, so the copy and the journal write are noise against the
+        // body they front.
+        if (guard.active() || journal) {
+            ckpt = st;
             ckpt.lambda1 = obj.lambda1();
-            ckpt.ratios = effective_ratios;
-            ckpt.extra_area = grid_sum(extra);
+            ckpt.gamma = obj.gamma();
             ckpt.inflation = scheme->snapshot();
-            ckpt.cmap = cmap;  // last good map (empty before iteration 0)
-            ckpt.wirelength = last_wl;
-        }
-        // Durable journal entry at every outer boundary: an outer
-        // iteration routes the whole design, so the snapshot cost is
-        // noise against the body it fronts.
-        if (durable != nullptr && durable->enabled()) {
-            recover::PipelineSnapshot snap;
-            snap.stage = recover::kStageRoutability;
-            snap.iter = outer;
-            snap.pos = pos;
-            snap.lambda1 = obj.lambda1();
-            snap.gamma = obj.gamma();
-            snap.lambda1_growth = lambda1_growth;
-            snap.initial_step = nes_cfg.initial_step;
-            snap.last_wl = last_wl;
-            snap.ratios = effective_ratios;
-            snap.inflation = scheme->snapshot();
-            snap.best_pos = best_pos;
-            snap.best_ratios = best_ratios;
-            snap.best_inflation = best_inflation;
-            snap.best_metric = best_metric;
-            snap.best_overflow = best_overflow;
-            snap.best_extra_area = best_extra_area;
-            snap.best_iter = best_iter;
-            snap.stall = stall;
-            snap.dc = dc;
-            snap.dpa = dpa;
-            snap.use_ckpt_cmap = use_ckpt_cmap;
-            snap.router_overflow_penalty = router_cfg.overflow_penalty;
-            snap.router_layer_capacity.reserve(router_cfg.layers.size());
-            for (const LayerSpec& l : router_cfg.layers)
-                snap.router_layer_capacity.push_back(l.capacity);
-            snap.extra = extra;
-            if (cmap.demand().width() > 0) {
-                snap.cmap_demand = cmap.demand();
-                snap.cmap_capacity = cmap.capacity();
-            }
-            snap.osc_window = osc_window;
-            durable->save(snap);
+            ckpt.cmap_demand = cmap.demand();  // empty before iteration 0
+            ckpt.cmap_capacity = cmap.capacity();
+            if (journal) durable->save(ckpt);
         }
         recover::crash::maybe_kill("route-mid");
-        // Stats entries of a failed attempt are rolled back with it.
-        const size_t mark_overflow = stats.total_overflow.size();
+        // History entries of a failed attempt are rolled back with it.
+        const size_t mark_overflow = st.congestion_history.size();
         const size_t mark_inflation = stats.mean_inflation.size();
-        const size_t mark_penalty = stats.penalty.size();
+        const size_t mark_penalty = st.penalty_history.size();
 
         try {
             // 1. Congestion estimation on current positions -> map (Eq. 3):
             //    a full global route (the paper) or RUDY (router-free).
             int rrr_executed = 0;
             int rrr_stalled = 0;
-            if (use_ckpt_cmap && ckpt.valid() &&
-                ckpt.cmap.demand().width() > 0) {
-                use_ckpt_cmap = false;
-                cmap = ckpt.cmap;
+            if (st.use_ckpt_cmap && ckpt.cmap_demand.width() > 0) {
+                st.use_ckpt_cmap = false;
+                cmap = CongestionMap(grid, ckpt.cmap_demand,
+                                     ckpt.cmap_capacity);
             } else if (cfg.use_rudy_congestion) {
                 cmap = rudy_congestion(d, grid, cfg.router, {},
                                        incremental ? &inc_rudy : nullptr);
@@ -521,10 +514,7 @@ RoutabilityStats run_routability_stage(
                         recover::FaultKind::CorruptedDemand, kStage, msg);
             }
 
-            stats.total_overflow.push_back(cmap.total_overflow());
-            // Keep the best-routed snapshot under the severity-weighted
-            // overflow (the quantity detailed-routing violations track):
-            // the stage must never end worse than it started.
+            st.congestion_history.push_back(cmap.total_overflow());
             const double severe = cmap.weighted_overflow();
 
             // Divergence detection: router livelock — every RRR round
@@ -541,8 +531,8 @@ RoutabilityStats run_routability_stage(
             }
             // Divergence detection: outer-loop overflow oscillation.
             if (guard.active()) {
-                osc_window.push_back(severe);
-                if (overflow_oscillates(osc_window, cfg.recover.osc_flips,
+                st.osc_window.push_back(severe);
+                if (overflow_oscillates(st.osc_window, cfg.recover.osc_flips,
                                         cfg.recover.osc_amplitude)) {
                     std::ostringstream oss;
                     oss << "weighted overflow alternated "
@@ -554,49 +544,40 @@ RoutabilityStats run_routability_stage(
                 }
             }
 
-            if (severe < best_overflow * (1.0 - cfg.keep_best_margin)) {
-                best_overflow = severe;
-                best_pos = pos;
-                best_ratios = effective_ratios;
-                best_extra_area = grid_sum(extra);
-                best_inflation = scheme->snapshot();
-                best_iter = outer;
-            }
+            keep_if_best(severe);
 
             // 3'. Dynamic pin-accessibility density adjustment (Eq. 13-15)
             //     is refreshed first so its charge is known to the budget.
-            if (dpa) {
-                extra = dynamic_pg_density(rail_area, cmap);
-                grid_scale(extra, cfg.dpa_weight);
-                obj.set_extra_density(&extra);
+            if (st.dpa) {
+                st.extra = dynamic_pg_density(rail_area, cmap);
+                grid_scale(st.extra, cfg.dpa_weight);
             }
 
             // 2. Momentum-based (or baseline) cell inflation update,
             //    budgeted (together with the PG charge) against the filler
             //    whitespace so the density stays feasible.
             scheme->update(d, cmap);
-            effective_ratios = scheme->ratios();
-            const double extra_area = grid_sum(extra);
-            budget_inflation(d, first_filler, effective_ratios,
+            st.ratios = scheme->ratios();
+            const double extra_area = grid_sum(st.extra);
+            budget_inflation(d, first_filler, st.ratios,
                              cfg.inflation_budget_frac, extra_area);
             if (guard.active() &&
                 recover::fault::fire(kStage,
                                      recover::FaultKind::CorruptedBudget,
                                      outer) &&
-                !effective_ratios.empty()) {
-                effective_ratios[0] = -1.0;
+                !st.ratios.empty()) {
+                st.ratios[0] = -1.0;
             }
             // Invariant audit: the budgeted ratios must balance —
             // real-cell area growth inside the filler budget, uniform
             // filler shrink.
             if (audit_enabled())
-                audit::check_inflation_budget(d, first_filler,
-                                              effective_ratios,
+                audit::check_inflation_budget(d, first_filler, st.ratios,
                                               cfg.inflation_budget_frac,
                                               extra_area);
             else if (guard.active()) {
-                for (size_t i = 0; i < effective_ratios.size(); ++i) {
-                    const double r = effective_ratios[i];
+                for (size_t i = 0; i < st.ratios.size(); ++i) {
+                    const double r = st.ratios[i];
                     if (std::isfinite(r) && r > 0.0) continue;
                     std::ostringstream oss;
                     oss << "inflation ratio of cell " << i
@@ -611,7 +592,7 @@ RoutabilityStats run_routability_stage(
                 int n = 0;
                 for (int ci : movable) {
                     if (ci >= first_filler) continue;
-                    acc += effective_ratios[static_cast<size_t>(ci)];
+                    acc += st.ratios[static_cast<size_t>(ci)];
                     ++n;
                 }
                 stats.mean_inflation.push_back(n > 0 ? acc / n : 1.0);
@@ -620,7 +601,7 @@ RoutabilityStats run_routability_stage(
             // 4. Congestion potential field for the DC term (the
             //    bounding-box baseline model needs only the map, not the
             //    field).
-            if (dc) {
+            if (st.dc) {
                 obj.set_dc_model(cfg.use_bbox_dc_model
                                      ? DcModel::BoundingBox
                                      : DcModel::NetMoving);
@@ -630,77 +611,32 @@ RoutabilityStats run_routability_stage(
             }
 
             // 5. Inner Nesterov iterations on Eq. (5).
-            NesterovSolver solver(pos, nes_cfg);
-            if (guard.active() &&
-                recover::fault::fire(kStage,
-                                     recover::FaultKind::HpwlExplosion,
-                                     outer)) {
-                // Fling the optimizer state far outside the die; the WA
-                // total blows past the explosion threshold next evaluate.
-                std::vector<Vec2> blown = pos;
-                const Vec2 c = d.region.center();
-                for (Vec2& p : blown)
-                    p = {c.x + (p.x - c.x) * 1e4, c.y + (p.y - c.y) * 1e4};
-                solver = NesterovSolver(std::move(blown), nes_cfg);
-            }
+            NesterovConfig nes_cfg;
+            nes_cfg.initial_step = st.initial_step;
+            NesterovSolver solver(st.pos, nes_cfg);
+            fling_fault(guard, outer, d, solver, nes_cfg);
+            const double explosion_bound =
+                cfg.recover.hpwl_explosion_factor *
+                std::max(ckpt.last_wl, die_bound);
             std::vector<Vec2> grad;
             double penalty = 0.0;
-            double attempt_wl = last_wl;
+            double attempt_wl = st.last_wl;
             for (int it = 0; it < cfg.inner_iters; ++it) {
                 const ObjectiveTerms terms =
                     obj.evaluate(d, movable, solver.reference(), grad);
-                if (guard.active()) {
-                    if (it == 0 && !grad.empty() &&
-                        recover::fault::fire(
-                            kStage, recover::FaultKind::GradientNaN, outer))
-                        grad[0].x =
-                            std::numeric_limits<double>::quiet_NaN();
-                    // Catch non-finite gradients before they step: a NaN
-                    // position would poison every later evaluation (and
-                    // the grid index casts behind it).
-                    for (size_t gi = 0; gi < grad.size(); ++gi) {
-                        if (std::isfinite(grad[gi].x) &&
-                            std::isfinite(grad[gi].y))
-                            continue;
-                        std::ostringstream oss;
-                        oss << "non-finite gradient of slot " << gi
-                            << " at inner iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                    // Divergence detection: non-finite objective terms
-                    // (NaN gradients poison the terms one step later) and
-                    // wirelength beyond k x the checkpoint / die bound.
-                    const double tsum = terms.wirelength + terms.density +
-                                        terms.congestion;
-                    if (!std::isfinite(tsum)) {
-                        std::ostringstream oss;
-                        oss << "non-finite objective terms at inner"
-                            << " iteration " << it;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::GradientNaN, kStage,
-                            oss.str());
-                    }
-                    const double bound =
-                        cfg.recover.hpwl_explosion_factor *
-                        std::max(ckpt.wirelength, die_bound);
-                    if (terms.wirelength > bound) {
-                        std::ostringstream oss;
-                        oss << "WA wirelength " << terms.wirelength
-                            << " exceeds the explosion bound " << bound;
-                        throw recover::RecoverableError(
-                            recover::FaultKind::HpwlExplosion, kStage,
-                            oss.str());
-                    }
-                }
+                if (guard.active() && it == 0 && !grad.empty() &&
+                    recover::fault::fire(kStage,
+                                         recover::FaultKind::GradientNaN,
+                                         outer))
+                    grad[0].x = std::numeric_limits<double>::quiet_NaN();
+                check_evaluation(guard, it, terms, grad, explosion_bound);
                 penalty = terms.congestion;
                 solver.step(grad, project);
                 // Keep the ePlace lambda_1 schedule only while the density
                 // target is not met; once spread, wirelength/congestion
                 // lead.
                 if (terms.overflow > cfg.stop_overflow)
-                    obj.set_lambda1(obj.lambda1() * lambda1_growth);
+                    obj.set_lambda1(obj.lambda1() * st.lambda1_growth);
                 attempt_wl = terms.wirelength;
             }
             {
@@ -719,13 +655,12 @@ RoutabilityStats run_routability_stage(
                             oss.str());
                     }
                 }
-                pos = sol;
+                st.pos = sol;
             }
             for (size_t i = 0; i < movable.size(); ++i)
-                d.cells[static_cast<size_t>(movable[i])].pos = pos[i];
-            last_wl = attempt_wl;
-            stats.penalty.push_back(penalty);
-            ++stats.outer_iters;
+                d.cells[static_cast<size_t>(movable[i])].pos = st.pos[i];
+            st.last_wl = attempt_wl;
+            st.penalty_history.push_back(penalty);
 
             if (cfg.verbose) {
                 RDP_LOG_INFO() << "[route-iter " << outer << "] overflow="
@@ -738,34 +673,26 @@ RoutabilityStats run_routability_stage(
             //    (paper: "until C(x,y) no longer decreases or the given
             //    number of iterations is reached"). When DC is off the
             //    router overflow serves as the metric.
-            const double metric = dc ? penalty : cmap.weighted_overflow();
+            const double metric = st.dc ? penalty : cmap.weighted_overflow();
             ++outer;
-            if (metric < best_metric - 1e-9) {
-                best_metric = metric;
-                stall = 0;
-            } else if (++stall >= cfg.stop_patience) {
+            if (metric < st.best_metric - 1e-9) {
+                st.best_metric = metric;
+                st.stall = 0;
+            } else if (++st.stall >= cfg.stop_patience) {
                 break;
             }
-            continue;
-        } catch (const recover::RecoverableError& e) {
-            stats.total_overflow.resize(mark_overflow);
+        } catch (...) {
+            std::string what;
+            const recover::FaultKind kind =
+                recover::classify_in_flight(guard.active(), what);
+            st.congestion_history.resize(mark_overflow);
             stats.mean_inflation.resize(mark_inflation);
-            stats.penalty.resize(mark_penalty);
-            osc_window.clear();
-            if (!apply_recovery(e.kind(), e.what())) break;
-            continue;
-        } catch (const AuditFailure& e) {
-            if (!guard.active()) throw;
-            stats.total_overflow.resize(mark_overflow);
-            stats.mean_inflation.resize(mark_inflation);
-            stats.penalty.resize(mark_penalty);
-            osc_window.clear();
-            if (!apply_recovery(recover::classify_audit_failure(e),
-                                e.what()))
-                break;
-            continue;
+            st.penalty_history.resize(mark_penalty);
+            st.osc_window.clear();
+            if (!apply_recovery(kind, what)) break;
         }
     }
+    stats.outer_iters = outer;
 
     // Score the final positions too, then restore the best snapshot seen —
     // positions together with the inflation bookkeeping they were scored
@@ -779,30 +706,25 @@ RoutabilityStats run_routability_stage(
                       .weighted_overflow()
                 : router->route(d, incremental ? &inc_route : nullptr)
                       .congestion.weighted_overflow();
-        if (severe < best_overflow * (1.0 - cfg.keep_best_margin)) {
-            best_overflow = severe;
-            best_pos = pos;
-            best_ratios = effective_ratios;
-            best_extra_area = grid_sum(extra);
-            best_inflation = scheme->snapshot();
-            best_iter = stats.outer_iters;
-        }
+        keep_if_best(severe);
         for (size_t i = 0; i < movable.size(); ++i)
-            d.cells[static_cast<size_t>(movable[i])].pos = best_pos[i];
-        effective_ratios = best_ratios;
-        scheme->restore(best_inflation);
-        stats.best_iter = best_iter;
-        stats.final_ratios = best_ratios;
-        stats.final_extra_area = best_extra_area;
+            d.cells[static_cast<size_t>(movable[i])].pos = st.best_pos[i];
+        st.ratios = st.best_ratios;
+        scheme->restore(st.best_inflation);
+        stats.best_iter = st.best_iter;
+        stats.final_ratios = st.best_ratios;
+        stats.final_extra_area = st.best_extra_area;
+        stats.total_overflow = std::move(st.congestion_history);
+        stats.penalty = std::move(st.penalty_history);
         // Re-audit the restored pairing: the bookkeeping must balance for
         // the snapshot exactly as it did when the snapshot was scored.
         if (audit_enabled())
-            audit::check_inflation_budget(d, first_filler, effective_ratios,
+            audit::check_inflation_budget(d, first_filler, st.ratios,
                                           cfg.inflation_budget_frac,
-                                          best_extra_area);
+                                          st.best_extra_area);
     }
 
-    // Detach caller-owned state before `extra`/`scheme` go out of scope.
+    // Detach caller-owned state before `st`/`scheme` go out of scope.
     obj.set_congestion(nullptr, nullptr);
     obj.set_extra_density(nullptr);
     obj.set_inflation(nullptr);

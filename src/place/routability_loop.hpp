@@ -3,6 +3,7 @@
 // Fig. 2. Split from GlobalPlacer so it can be driven directly by tests
 // and by the ablation bench.
 
+#include <functional>
 #include <memory>
 
 #include "place/global_placer.hpp"
@@ -11,6 +12,10 @@
 #include "recover/recover.hpp"
 
 namespace rdp {
+
+namespace recover {
+class StageGuard;
+}
 
 struct RoutabilityStats {
     int outer_iters = 0;
@@ -43,17 +48,20 @@ struct RoutabilityStats {
 /// inflated cell area is taken from the fillers so the total charge stays
 /// feasible and the density term cannot diverge.
 ///
-/// `durable` (optional) journals a PipelineSnapshot at every outer
-/// iteration boundary; `resume` (optional, stage == kStageRoutability)
-/// restarts the loop from such a snapshot — positions, inflation, maps,
-/// router relaxations, and best-so-far state all restored, incremental
-/// route/RUDY caches invalidated exactly as on recovery rollbacks — and
-/// continues to a bitwise-identical final placement (DESIGN.md §16).
+/// The stage keeps its carried loop state in a PipelineSnapshot and
+/// captures it at every outer iteration boundary, as the rollback point
+/// and, when `durable` is given and enabled, as the next journal entry.
+/// `entry` (optional) is the pipeline state the stage starts from: a
+/// stage-2 snapshot (stage == kStageRoutability) resumes the loop —
+/// positions, inflation, maps, router relaxations and best-so-far state
+/// all restored — and continues to a bitwise-identical final placement
+/// (DESIGN.md §16); any other state only contributes its run history
+/// (wl_iters, overflow_history), which the stage-2 journal entries carry.
 RoutabilityStats run_routability_stage(
     Design& d, const std::vector<int>& movable, PlacementObjective& obj,
     const PlacerConfig& cfg, const std::vector<PGRail>& selected_rails,
     int first_filler, recover::DurableCheckpointer* durable = nullptr,
-    const recover::PipelineSnapshot* resume = nullptr);
+    const recover::PipelineSnapshot* entry = nullptr);
 
 /// Budget raw inflation ratios against the filler whitespace: scales the
 /// per-cell inflation excesses so their area growth plus `extra_area`
@@ -68,5 +76,33 @@ double budget_inflation(const Design& d, int first_filler,
 /// Create the inflation scheme matching mode/toggles (exposed for tests).
 std::unique_ptr<InflationScheme> make_inflation_scheme(const PlacerConfig& cfg,
                                                        int num_cells);
+
+// ---- Stage scaffolding shared by the wirelength and routability stages ---
+
+/// Nesterov projection of both stages: clamp a movable slot's proposed
+/// center so the cell stays inside the placement region.
+std::function<Vec2(size_t, Vec2)> region_clamp(const Design& d,
+                                               const std::vector<int>& movable);
+
+/// Physical upper bound on any in-region WA wirelength: one die span
+/// (width + height) per routed net. The explosion threshold is floored at
+/// a multiple of this so legitimate many-fold wirelength growth (early
+/// spreading) can never false-positive.
+double die_wirelength_bound(const Design& d);
+
+/// Divergence detectors of one objective evaluation (DESIGN.md §11),
+/// observe-only and inert while `guard` is inactive: non-finite objective
+/// terms, WA wirelength beyond `explosion_bound`, and non-finite gradient
+/// entries, caught before they step (a NaN position would poison every
+/// later evaluation). Throws a RecoverableError tagged with the stage.
+void check_evaluation(const recover::StageGuard& guard, int iter,
+                      const ObjectiveTerms& terms,
+                      const std::vector<Vec2>& grad, double explosion_bound);
+
+/// HpwlExplosion fault site, inert unless armed for the guard's stage at
+/// `iter`: restart `solver` from its solution scaled 1e4x about the die
+/// center, so the next WA total blows past the explosion bound.
+void fling_fault(const recover::StageGuard& guard, int iter, const Design& d,
+                 NesterovSolver& solver, const NesterovConfig& cfg);
 
 }  // namespace rdp

@@ -25,7 +25,9 @@ namespace {
 // trivially faithful.
 
 constexpr char kMagic[8] = {'R', 'D', 'P', 'C', 'K', 'P', 'T', '\0'};
-constexpr uint32_t kVersion = 1;
+// Version 2 added the run history (wl_iters and the three PlaceResult
+// histories) to the history section.
+constexpr uint32_t kVersion = 2;
 constexpr size_t kHeaderSize = 48;
 constexpr size_t kSectionHeaderSize = 24;
 
@@ -218,6 +220,10 @@ std::vector<uint8_t> section_payload(uint32_t tag,
             break;
         case kSecHist:
             w.vec_f64(s.osc_window);
+            w.i32(s.wl_iters);
+            w.vec_f64(s.overflow_history);
+            w.vec_f64(s.congestion_history);
+            w.vec_f64(s.penalty_history);
             break;
         default:
             break;
@@ -281,6 +287,10 @@ bool parse_section(uint32_t tag, Reader& r, PipelineSnapshot& s) {
             break;
         case kSecHist:
             s.osc_window = r.vec_f64();
+            s.wl_iters = r.i32();
+            s.overflow_history = r.vec_f64();
+            s.congestion_history = r.vec_f64();
+            s.penalty_history = r.vec_f64();
             break;
         default:
             return false;

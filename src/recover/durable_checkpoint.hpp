@@ -1,17 +1,18 @@
 #pragma once
-// Durable crash-consistent checkpointing (DESIGN.md §16).
+// The pipeline state and its durable journal (DESIGN.md §11, §16).
 //
-// The in-memory StageCheckpoint (checkpoint.hpp) dies with the process;
-// this layer persists the pipeline state a stage boundary needs so a run
-// killed at any instruction — OOM, preemption, power loss — resumes and
-// finishes **bitwise identical** to the uninterrupted run.
+// PipelineSnapshot is the one value that describes where the placement
+// pipeline is: the rollback point of a guarded stage (§11) and the entry
+// this layer persists, so a run killed at any instruction — OOM,
+// preemption, power loss — resumes and finishes **bitwise identical** to
+// the uninterrupted run.
 //
 // Format: a versioned binary snapshot ("RDPCKPT\0", format version,
 // design/config fingerprint, stage/iteration cursor) holding tagged
 // sections — positions, optimizer momentum, inflation state, best-so-far
-// snapshot, congestion/extra-density maps, oscillation history — each
-// with its own FNV-1a 64 checksum, so truncation or a bit flip anywhere
-// names the damaged section instead of producing silent garbage.
+// snapshot, congestion/extra-density maps, run history — each with its
+// own FNV-1a 64 checksum, so truncation or a bit flip anywhere names the
+// damaged section instead of producing silent garbage.
 //
 // Journal: two alternating slot files (ckpt-a.bin / ckpt-b.bin, slot =
 // generation % 2), each written temp-file + fsync + atomic rename
@@ -56,10 +57,13 @@ struct OptimizerSnapshot {
     bool have_prev = false;
 };
 
-/// Everything a stage-boundary resume must restore. Stage 1 uses the
-/// cursor/position/optimizer/scalar fields; stage 2 additionally carries
-/// inflation, best-so-far, map, and router-relaxation state (its inner
-/// solver is rebuilt fresh every outer iteration, so `opt` stays empty).
+/// The pipeline state at a stage iteration boundary: everything a
+/// rollback or a resume restores. Stage 1 uses the cursor, position,
+/// optimizer and scalar fields; stage 2 keeps its whole carried loop
+/// state here and adds inflation, best-so-far, map and router-relaxation
+/// state (its inner solver is rebuilt fresh every outer iteration, so
+/// `opt` stays empty). The history fields make a resumed PlaceResult
+/// equal the uninterrupted one, not only its placement.
 struct PipelineSnapshot {
     int stage = 0;
     int iter = 0;
@@ -95,13 +99,19 @@ struct PipelineSnapshot {
     GridF cmap_demand;    ///< last routed congestion map
     GridF cmap_capacity;  ///< (empty grids when no route happened yet)
     std::vector<double> osc_window;
+
+    int wl_iters = 0;                        ///< stage-1 iterations run
+    std::vector<double> overflow_history;    ///< stage-1 density overflow
+    std::vector<double> congestion_history;  ///< stage-2 total overflow
+    std::vector<double> penalty_history;     ///< stage-2 C(x, y)
 };
 
 /// Knobs of the durable layer; disabled while `dir` is empty.
 struct DurableOptions {
     std::string dir;     ///< journal directory (RDP_CHECKPOINT_DIR)
-    int every = 25;      ///< stage-1 save cadence (RDP_CHECKPOINT_EVERY);
-                         ///< stage 2 saves at every outer iteration
+    int every = 25;      ///< stage-1 capture cadence, for rollback and
+                         ///< journal alike (RDP_CHECKPOINT_EVERY); stage 2
+                         ///< captures at every outer iteration
     std::string resume;  ///< "", "auto", or a snapshot path (RDP_RESUME)
 };
 

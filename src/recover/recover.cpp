@@ -55,6 +55,19 @@ FaultKind classify_audit_failure(const AuditFailure& failure) {
     return FaultKind::AuditViolation;
 }
 
+FaultKind classify_in_flight(bool active, std::string& what) {
+    if (!active) throw;
+    try {
+        throw;
+    } catch (const RecoverableError& e) {
+        what = e.what();
+        return e.kind();
+    } catch (const AuditFailure& e) {
+        what = e.what();
+        return classify_audit_failure(e);
+    }
+}
+
 int RecoveryReport::count(FaultKind k) const {
     int n = 0;
     for (const RecoveryEvent& e : events)

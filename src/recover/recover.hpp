@@ -65,6 +65,13 @@ private:
 /// CorruptedBudget, anything else -> AuditViolation).
 FaultKind classify_audit_failure(const AuditFailure& failure);
 
+/// Classify the exception in flight, from inside a guarded stage's
+/// `catch (...)`: a RecoverableError keeps its kind, a tripped audit maps
+/// through classify_audit_failure, and `what` receives the message. Any
+/// other exception is rethrown, and so is every exception while `active`
+/// is false: an unguarded run fails loudly instead of recovering.
+FaultKind classify_in_flight(bool active, std::string& what);
+
 /// Recovery policy knobs (part of PlacerConfig). Detection thresholds are
 /// deliberately far outside what a healthy run produces: on a clean run no
 /// detector trips and the recovery layer is invisible.
@@ -75,12 +82,10 @@ struct RecoverConfig {
     /// Recovery attempts per guarded stage before it degrades to its best
     /// snapshot.
     int max_retries = 2;
-    /// Stage-1 iterations between placement checkpoints (stage 2
-    /// checkpoints at every outer-iteration boundary).
-    int checkpoint_every = 25;
     /// Wirelength explosion: WA total beyond this multiple of the last
     /// checkpoint's wirelength AND beyond the physical die bound
-    /// (sum over nets of region width+height).
+    /// (sum over nets of region width+height). Checkpoints follow the
+    /// durable cadence, DurableOptions::every.
     double hpwl_explosion_factor = 20.0;
     /// Overflow oscillation: this many consecutive sign alternations of
     /// the outer-loop overflow, each with relative amplitude above

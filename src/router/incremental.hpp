@@ -18,10 +18,10 @@
 // exact, so delta accounting is bitwise identical to a from-scratch
 // rebuild — route(d, &state) == route(d) bitwise, for any RDP_THREADS.
 //
-// A deterministic periodic full rebuild (`rebuild_epoch`, env knob
-// RDP_REBUILD_EPOCH) bounds drift: every Nth call with a valid cache
-// drops it and rebuilds from scratch, independent of the placement
-// trajectory, so results cannot depend on when a cache happened to fill.
+// A deterministic periodic full rebuild (`rebuild_epoch`, default 16)
+// bounds drift: every Nth call with a valid cache drops it and rebuilds
+// from scratch, independent of the placement trajectory, so results
+// cannot depend on when a cache happened to fill.
 
 #include <cstdint>
 #include <vector>

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <numeric>
 
-#include "util/env.hpp"
 #include "util/parallel.hpp"
 
 namespace rdp {
@@ -41,11 +40,9 @@ void grid_copy_into(const GridF& src, GridF& dst) {
 
 namespace {
 
-int transpose_block_size() {
-    static const int block =
-        static_cast<int>(env::int_or("RDP_TRANSPOSE_BLOCK", 32, 4, 4096));
-    return block;
-}
+/// Transpose tile edge: a 32x32 tile of doubles (8 KiB) keeps both the
+/// strided reads and the contiguous writes inside L1.
+constexpr int kTransposeBlock = 32;
 
 }  // namespace
 
@@ -57,7 +54,7 @@ void grid_transpose_into(const GridF& src, GridF& dst,
     if (dst.width() != h || dst.height() != w) dst.resize(h, w);
     if (w == 0 || h == 0) return;
 
-    const int block = transpose_block_size();
+    const int block = kTransposeBlock;
     const int row_blocks = (w + block - 1) / block;
     // Each task owns a band of dst rows; inner tiles keep both the strided
     // src reads and the contiguous dst writes within cache-sized footprints.

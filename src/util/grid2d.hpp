@@ -93,10 +93,9 @@ void grid_copy_into(const GridF& src, GridF& dst);
 /// `dst_col_scale` is non-null (length src.height() = dst.width()), every
 /// output entry is additionally scaled by dst_col_scale[j] — this lets the
 /// spectral Poisson solver fold a per-spectral-index factor into the
-/// transpose for free. The tile size comes from the RDP_TRANSPOSE_BLOCK
-/// env knob (default 32); writes are elementwise-disjoint and the block
-/// decomposition depends only on the grid dimensions, so results are
-/// bitwise identical at any thread count.
+/// transpose for free. Tiles are 32x32; writes are elementwise-disjoint
+/// and the block decomposition depends only on the grid dimensions, so
+/// results are bitwise identical at any thread count.
 void grid_transpose_into(const GridF& src, GridF& dst,
                          const double* dst_col_scale = nullptr);
 

@@ -27,6 +27,7 @@
 
 #include "benchgen/generator.hpp"
 #include "db/netlist_io.hpp"
+#include "place/global_placer.hpp"
 #include "recover/durable_checkpoint.hpp"
 #include "recover/kill_points.hpp"
 
@@ -97,6 +98,10 @@ PipelineSnapshot make_snapshot() {
     s.cmap_capacity = GridF(3, 2);
     s.cmap_capacity.at(0, 0) = 16.0;
     s.osc_window = {1.0, 64.0, 1.5, 63.5};
+    s.wl_iters = 42;
+    s.overflow_history = {0.9, 0.5, 0.25};
+    s.congestion_history = {310.0, 205.5};
+    s.penalty_history = {17.25, 12.5};
     return s;
 }
 
@@ -141,6 +146,10 @@ void expect_snapshot_eq(const PipelineSnapshot& a, const PipelineSnapshot& b) {
     EXPECT_EQ(a.cmap_demand.raw(), b.cmap_demand.raw());
     EXPECT_EQ(a.cmap_capacity.raw(), b.cmap_capacity.raw());
     EXPECT_EQ(a.osc_window, b.osc_window);
+    EXPECT_EQ(a.wl_iters, b.wl_iters);
+    EXPECT_EQ(a.overflow_history, b.overflow_history);
+    EXPECT_EQ(a.congestion_history, b.congestion_history);
+    EXPECT_EQ(a.penalty_history, b.penalty_history);
 }
 
 /// (tag, payload offset, payload size) of every section in `bytes`.
@@ -243,6 +252,22 @@ TEST(PersistFormat, RejectsBadMagicAndHeaderFlips) {
                                                    nullptr, &err))
             << "header byte " << off << " flip went undetected";
     }
+}
+
+TEST(PersistFormat, RejectsOtherFormatVersion) {
+    // A well-formed snapshot of another format version (version 1 lacked
+    // the run history) is refused by version, not misparsed.
+    std::vector<uint8_t> bytes =
+        recover::serialize_snapshot(make_snapshot(), kFingerprint, 1);
+    const uint32_t old_version = 1;
+    std::memcpy(bytes.data() + 8, &old_version, 4);
+    const uint64_t cksum = recover::fnv1a64(bytes.data(), 40);
+    std::memcpy(bytes.data() + 40, &cksum, 8);
+    std::string err;
+    EXPECT_FALSE(recover::deserialize_snapshot(bytes, kFingerprint, nullptr,
+                                               nullptr, &err));
+    EXPECT_NE(err.find("unsupported format version 1"), std::string::npos)
+        << err;
 }
 
 TEST(PersistFormat, EverySectionChecksumCatchesFlips) {
@@ -447,6 +472,64 @@ TEST(PersistDegrade, DisabledByDefault) {
 }
 
 // ---------------------------------------------------------------------------
+// In-process resume: the whole PlaceResult, not only the placement
+// ---------------------------------------------------------------------------
+
+TEST(PersistResume, ResumedPlaceResultEqualsUninterrupted) {
+    // Resuming from the newest journal entry replays the tail of the run;
+    // the result must report the whole run — iteration counts and
+    // histories included — exactly as the uninterrupted run did. Ours
+    // resumes inside stage 2, WirelengthOnly inside stage 1.
+    GeneratorConfig gen;
+    gen.name = "persist-result";
+    gen.seed = 23;
+    gen.num_cells = 180;
+    gen.num_macros = 1;
+    gen.macro_area_frac = 0.06;
+    gen.utilization = 0.7;
+    gen.num_ios = 8;
+    const Design input = generate_circuit(gen);
+    for (const PlacerMode mode :
+         {PlacerMode::Ours, PlacerMode::WirelengthOnly}) {
+        const bool ours = mode == PlacerMode::Ours;
+        SCOPED_TRACE(ours ? "Ours" : "WirelengthOnly");
+        PlacerConfig cfg;
+        cfg.mode = mode;
+        cfg.grid_bins = 16;
+        cfg.seed = 7;
+        cfg.max_wl_iters = 60;
+        cfg.max_route_iters = 4;
+        cfg.inner_iters = 6;
+        cfg.durable.dir = fresh_dir(ours ? "result_ours" : "result_wl");
+        cfg.durable.every = 10;
+        const PlaceResult ref = GlobalPlacer(cfg).place(input);
+
+        cfg.durable.resume = "auto";
+        testing::internal::CaptureStderr();
+        const PlaceResult res = GlobalPlacer(cfg).place(input);
+        const std::string log = testing::internal::GetCapturedStderr();
+        ASSERT_NE(log.find(ours ? "(stage 2," : "(stage 1,"),
+                  std::string::npos)
+            << "did not resume in the expected stage:\n"
+            << log;
+
+        ASSERT_EQ(res.placed.num_cells(), ref.placed.num_cells());
+        for (size_t i = 0; i < ref.placed.cells.size(); ++i)
+            ASSERT_EQ(res.placed.cells[i].pos, ref.placed.cells[i].pos)
+                << "cell " << i;
+        EXPECT_EQ(res.hpwl_gp, ref.hpwl_gp);
+        EXPECT_EQ(res.hpwl_final, ref.hpwl_final);
+        EXPECT_GT(ref.wl_iters, 0);
+        EXPECT_EQ(res.wl_iters, ref.wl_iters);
+        EXPECT_EQ(res.route_outer_iters, ref.route_outer_iters);
+        EXPECT_EQ(res.overflow_history, ref.overflow_history);
+        EXPECT_EQ(res.congestion_history, ref.congestion_history);
+        EXPECT_EQ(res.penalty_history, ref.penalty_history);
+        EXPECT_EQ(res.route_best_iter, ref.route_best_iter);
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Kill-point harness plumbing
 // ---------------------------------------------------------------------------
 
@@ -519,29 +602,37 @@ protected:
     static std::string child_log() { return read_bytes(log_path()); }
 
     /// Crash at `site`, then resume; the resumed output must match the
-    /// uninterrupted reference byte for byte.
-    void crash_and_resume(const std::string& site, bool incremental) {
+    /// uninterrupted reference byte for byte. `env` (e.g. an RDP_FAULT
+    /// assignment) prefixes both runs; `reference` defaults to the
+    /// shared clean reference.
+    void crash_and_resume(const std::string& site, bool incremental,
+                          const std::string& env = "",
+                          const std::string& reference = "") {
         const std::string label =
-            site + (incremental ? " (inc on)" : " (inc off)");
+            site + (incremental ? " (inc on)" : " (inc off)") + env;
         const std::string inc = incremental ? "1" : "0";
-        const std::string ckpt = fresh_dir("e2e_" + site + "_inc" + inc);
+        const std::string ckpt = fresh_dir(
+            "e2e_" + site + "_inc" + inc + (env.empty() ? "" : "_env"));
         const std::string out = ckpt + "/out.txt";
         const std::string flags =
             "--checkpoint-dir='" + ckpt + "' --checkpoint-every=10";
-        ASSERT_EQ(run_child("RDP_CRASH='" + site + "'", inc, out, flags),
+        ASSERT_EQ(run_child(env + " RDP_CRASH='" + site + "'", inc, out,
+                            flags),
                   recover::crash::kExitCode)
             << label << " did not die at the kill point:\n"
             << child_log();
         EXPECT_FALSE(fs::exists(out))
             << label << ": the killed run must not have published output";
-        ASSERT_EQ(run_child("", inc, out, flags + " --resume=auto"), 0)
+        ASSERT_EQ(run_child(env, inc, out, flags + " --resume=auto"), 0)
             << label << " failed to resume:\n"
             << child_log();
         EXPECT_NE(child_log().find("resuming from generation"),
                   std::string::npos)
             << label << " did not actually resume:\n"
             << child_log();
-        EXPECT_TRUE(read_bytes(out) == read_bytes(ref_path(incremental)))
+        EXPECT_TRUE(read_bytes(out) ==
+                    read_bytes(reference.empty() ? ref_path(incremental)
+                                                 : reference))
             << label << ": resumed placement differs from the "
             << "uninterrupted run";
     }
@@ -568,6 +659,24 @@ TEST_F(PersistEndToEnd, CheckpointingIsByteInvisible) {
 TEST_F(PersistEndToEnd, KilledMidWirelengthStageResumesBitwise) {
     crash_and_resume("wl-mid:15", true);
     crash_and_resume("wl-mid:15", false);
+}
+
+TEST_F(PersistEndToEnd, FaultAfterResumeRollsBackLikeUninterrupted) {
+    // The rollback point must be the newest journal entry: a fault after
+    // the kill point has to roll the resumed run back to the iteration the
+    // uninterrupted run rolls back to. (Fault shots are remembered per
+    // process, so a fault before the kill point would fire twice.)
+    const std::string fault = "RDP_FAULT='wirelength-gp:gradient-nan:18'";
+    for (const bool incremental : {true, false}) {
+        const std::string inc = incremental ? "1" : "0";
+        const std::string ref = *dir_ + "/ref_fault_inc" + inc + ".txt";
+        ASSERT_EQ(run_child(fault, inc, ref, "--checkpoint-every=10"), 0)
+            << child_log();
+        ASSERT_NE(child_log().find("action=rollback"), std::string::npos)
+            << "the armed fault never rolled the run back:\n"
+            << child_log();
+        crash_and_resume("wl-mid:15", incremental, fault, ref);
+    }
 }
 
 TEST_F(PersistEndToEnd, KilledMidRoutabilityStageResumesBitwise) {

@@ -285,6 +285,16 @@ TEST_F(FaultRecoveryTest, WirelengthStageRecoversFromGradientNaN) {
     EXPECT_GE(res.recovery.rollbacks, 1);
     // The stage kept running after the rollback.
     EXPECT_GT(res.wl_iters, 30);
+    // The rollback event names the iteration that failed, not the one it
+    // rolled back to.
+    bool rolled_back = false;
+    for (const auto& e : res.recovery.events) {
+        if (e.action != "rollback") continue;
+        rolled_back = true;
+        EXPECT_EQ(e.stage, "wirelength-gp");
+        EXPECT_EQ(e.iter, 30) << e.detail;
+    }
+    EXPECT_TRUE(rolled_back);
 }
 
 TEST_F(FaultRecoveryTest, WirelengthStageRecoversFromHpwlExplosion) {
