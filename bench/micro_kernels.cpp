@@ -1,11 +1,12 @@
 // Kernel microbenchmarks (google-benchmark): the building blocks whose
 // cost dominates the placement loop — FFT/DCT, the spectral Poisson solve,
 // density evaluation, WA wirelength, net decomposition, pattern routing,
-// and a full router invocation.
+// the maze fallback, and a full router invocation.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "poisson/poisson.hpp"
 #include "router/global_router.hpp"
 #include "router/incremental.hpp"
+#include "router/maze_route.hpp"
 #include "router/net_decompose.hpp"
 #include "grid/splat_kernel.hpp"
 #include "util/check.hpp"
@@ -384,6 +386,37 @@ void BM_GlobalRoute(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_GlobalRoute)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+
+void BM_MazeRoute(benchmark::State& state) {
+    // The phase-B maze fallback alone: a 64x64 cost map shaped like RRR
+    // costs (base 1 plus random history in [0, 2)) with a congested
+    // vertical barrier at x = 32, open only at two gaps, and 64 random
+    // connections across it. One iteration routes all of them.
+    const int n = 64;
+    GridF ch(n, n), cv(n, n);
+    Rng rng(31);
+    for (GridF* g : {&ch, &cv})
+        for (double& v : *g) v = 1.0 + rng.uniform(0.0, 2.0);
+    for (int y = 0; y < n; ++y) {
+        if ((y >= 10 && y <= 12) || (y >= 50 && y <= 52)) continue;
+        ch.at(32, y) += 40.0;
+        cv.at(32, y) += 40.0;
+    }
+    const RouteCostModel model{&ch, &cv, 1.0};
+    std::vector<std::array<int, 4>> conns(64);
+    for (auto& c : conns)
+        c = {rng.uniform_int(16, 31), rng.uniform_int(8, 56),
+             rng.uniform_int(33, 48), rng.uniform_int(8, 56)};
+    for (auto _ : state) {
+        for (const auto& c : conns) {
+            RoutePath p = maze_route(c[0], c[1], c[2], c[3], model);
+            benchmark::DoNotOptimize(p.segs.data());
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(conns.size()));
+}
+BENCHMARK(BM_MazeRoute)->Unit(benchmark::kMicrosecond);
 
 void BM_NetMovingGradient(benchmark::State& state) {
     const Design d = bench_design(static_cast<int>(state.range(0)));

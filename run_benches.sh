@@ -5,7 +5,8 @@
 #
 # `run_benches.sh --json` instead runs only the machine-trackable
 # microbenchmark sets and writes
-#   BENCH_router.json   router / routability-loop benches (wall clocks plus
+#   BENCH_router.json   router / routability-loop benches, BM_MazeRoute (the
+#                       phase-B maze fallback alone) included (wall clocks plus
 #                       the cache_hit_rate / conns_rerouted_per_iter /
 #                       nets_rerouted_per_iter / bins_recomputed_per_iter
 #                       counters)
@@ -29,7 +30,7 @@ cd "$(dirname "$0")"
 if [ "$1" = "--json" ]; then
   echo "=== rdplace router bench (JSON -> BENCH_router.json) ==="
   ./build/bench/micro_kernels \
-    --benchmark_filter='GlobalRoute|RouterRrrRoundThreads|RoutabilityLoopRoute|RudyCongestion' \
+    --benchmark_filter='GlobalRoute|MazeRoute|RouterRrrRoundThreads|RoutabilityLoopRoute|RudyCongestion' \
     --benchmark_min_time=0.2 \
     --benchmark_out=BENCH_router.json --benchmark_out_format=json \
     2>/dev/null || exit $?

@@ -56,7 +56,9 @@ struct RouterConfig {
     /// Rip-up-and-reroute rounds after the initial routing pass.
     int rrr_rounds = 2;
     /// During RRR, escalate connections that still overflow after the
-    /// pattern reroute to a windowed maze (Dijkstra) search.
+    /// pattern reroute to a windowed maze search: an exact A* (column/row
+    /// cost-minimum lower bound) that returns the canonical Dijkstra path,
+    /// ties broken by (cost, dir, y, x); see router/maze_route.hpp.
     bool maze_fallback = true;
     MazeConfig maze;
     /// Z-shape bend candidates sampled per direction.

@@ -72,12 +72,19 @@ template <typename T, typename ChunkFn, typename CombineFn>
 T parallel_reduce(size_t n, size_t grain, T init, ChunkFn&& chunk_fn,
                   CombineFn&& combine, size_t max_chunks = 64) {
     const ChunkPlan p = plan(n, grain, max_chunks);
-    std::vector<T> partial(p.num_chunks);
-    run_chunks(p,
-               [&](size_t b, size_t e, size_t c) { partial[c] = chunk_fn(b, e); });
+    // One slot per chunk. The wrapper keeps T = bool out of the packed
+    // std::vector<bool>, where chunks writing neighbouring bits of one word
+    // concurrently would race.
+    struct Slot {
+        T value;
+    };
+    std::vector<Slot> partial(p.num_chunks);
+    run_chunks(p, [&](size_t b, size_t e, size_t c) {
+        partial[c].value = chunk_fn(b, e);
+    });
     T acc = std::move(init);
     for (size_t c = 0; c < p.num_chunks; ++c)
-        acc = combine(std::move(acc), std::move(partial[c]));
+        acc = combine(std::move(acc), std::move(partial[c].value));
     return acc;
 }
 

@@ -93,6 +93,20 @@ TEST(ParallelReduceTest, SumIsThreadInvariant) {
     });
 }
 
+TEST(ParallelReduceTest, BoolPartialsAreNotLost) {
+    // The router ORs per-chunk bool flags. Every chunk reports true, so an
+    // AND over the partials is false only if a chunk's partial was lost to
+    // a concurrent write into the same word (packed std::vector<bool>).
+    ThreadGuard guard;
+    par::set_max_threads(8);
+    for (int rep = 0; rep < 2000; ++rep) {
+        const bool all = par::parallel_reduce(
+            64, 1, true, [](size_t, size_t) { return true; },
+            [](bool a, bool b) { return a && b; });
+        ASSERT_TRUE(all) << "repetition " << rep;
+    }
+}
+
 TEST(ParallelReduceTest, NestedParallelRunsInline) {
     ThreadGuard guard;
     par::set_max_threads(8);

@@ -3,8 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <functional>
+#include <limits>
+#include <queue>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "benchgen/generator.hpp"
 #include "router/global_router.hpp"
@@ -245,6 +252,240 @@ TEST_F(MazeRouteTest, WindowClampsSearch) {
         EXPECT_LE(std::max(s.x0, s.x1), 10);
         EXPECT_GE(std::min(s.y0, s.y1), 3);
         EXPECT_LE(std::max(s.y0, s.y1), 8);
+    }
+}
+
+/// Reference for maze_route: a plain Dijkstra over the same window and
+/// (cell, entry direction) states with the documented tie rule. It pops in
+/// (distance, key) order with key = (dir, y, x) in window coordinates, ends
+/// at the first goal state popped, and rebuilds the path backwards from the
+/// smallest-key settled predecessor whose distance plus the step cost gives
+/// the state's distance exactly.
+RoutePath dijkstra_oracle(int x0, int y0, int x1, int y1,
+                          const RouteCostModel& m, int margin) {
+    const GridF& ch = *m.cost_h;
+    const GridF& cv = *m.cost_v;
+    margin = std::max(margin, 0);
+    const int wx0 = std::max(std::min(x0, x1) - margin, 0);
+    const int wy0 = std::max(std::min(y0, y1) - margin, 0);
+    const int wx1 = std::min(std::max(x0, x1) + margin, ch.width() - 1);
+    const int wy1 = std::min(std::max(y0, y1) + margin, ch.height() - 1);
+    const int w = wx1 - wx0 + 1;
+    const int wh = w * (wy1 - wy0 + 1);
+    auto key = [&](int x, int y, int dir) {
+        return dir * wh + (y - wy0) * w + (x - wx0);
+    };
+    auto inside = [&](int x, int y) {
+        return x >= wx0 && x <= wx1 && y >= wy0 && y <= wy1;
+    };
+    auto cost = [&](int x, int y, int dir) {
+        return dir == 0 ? ch.at(x, y) : cv.at(x, y);
+    };
+    auto step_cost = [&](int from_dir, int x, int y, int dir) {
+        return cost(x, y, dir) + (from_dir != dir ? m.via_cost : 0.0);
+    };
+
+    std::vector<double> dist(static_cast<size_t>(2 * wh),
+                             std::numeric_limits<double>::max());
+    std::vector<char> done(static_cast<size_t>(2 * wh), 0);
+    using Item = std::pair<double, int>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    for (int dir = 0; dir < 2; ++dir) {
+        const int k = key(x0, y0, dir);
+        dist[static_cast<size_t>(k)] = cost(x0, y0, dir);
+        pq.push({dist[static_cast<size_t>(k)], k});
+    }
+    int goal = -1;
+    while (!pq.empty()) {
+        const auto [g, k] = pq.top();
+        pq.pop();
+        if (done[static_cast<size_t>(k)]) continue;
+        done[static_cast<size_t>(k)] = 1;
+        const int dir = k / wh;
+        const int x = wx0 + k % wh % w, y = wy0 + k % wh / w;
+        if (x == x1 && y == y1) {
+            goal = k;
+            break;
+        }
+        const int moves[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+        for (const auto& mv : moves) {
+            const int nx = x + mv[0], ny = y + mv[1];
+            if (!inside(nx, ny)) continue;
+            const int ndir = mv[1] != 0 ? 1 : 0;
+            const int nk = key(nx, ny, ndir);
+            const double nd = g + step_cost(dir, nx, ny, ndir);
+            if (!done[static_cast<size_t>(nk)] &&
+                nd < dist[static_cast<size_t>(nk)]) {
+                dist[static_cast<size_t>(nk)] = nd;
+                pq.push({nd, nk});
+            }
+        }
+    }
+
+    RoutePath path;
+    std::vector<std::array<int, 3>> cells;  // (x, y, dir), goal first
+    for (int k = goal; k >= 0;) {
+        const int dir = k / wh;
+        const int x = wx0 + k % wh % w, y = wy0 + k % wh / w;
+        cells.push_back({x, y, dir});
+        if (x == x0 && y == y0) break;
+        int pred = -1;
+        for (int pdir = 0; pdir < 2; ++pdir) {
+            for (const int side : {-1, 1}) {
+                const int px = dir == 0 ? x + side : x;
+                const int py = dir == 0 ? y : y + side;
+                if (!inside(px, py)) continue;
+                const int pk = key(px, py, pdir);
+                if (done[static_cast<size_t>(pk)] &&
+                    dist[static_cast<size_t>(pk)] +
+                            step_cost(pdir, x, y, dir) ==
+                        dist[static_cast<size_t>(k)] &&
+                    (pred < 0 || pk < pred))
+                    pred = pk;
+            }
+        }
+        if (pred < 0) return path;
+        k = pred;
+    }
+    std::reverse(cells.begin(), cells.end());
+    for (size_t i = 0; i < cells.size(); ++i) {
+        if (i > 0 && cells[i][2] == cells[i - 1][2]) {
+            path.segs.back().x1 = cells[i][0];
+            path.segs.back().y1 = cells[i][1];
+            continue;
+        }
+        path.segs.push_back({cells[i][0], cells[i][1], cells[i][0],
+                             cells[i][1],
+                             cells[i][2] == 0 ? Orient::Horizontal
+                                              : Orient::Vertical});
+    }
+    return path;
+}
+
+void expect_same_path(const RoutePath& a, const RoutePath& b,
+                      const std::string& what) {
+    ASSERT_EQ(a.segs.size(), b.segs.size()) << what;
+    for (size_t i = 0; i < a.segs.size(); ++i) {
+        const RouteSeg& p = a.segs[i];
+        const RouteSeg& q = b.segs[i];
+        EXPECT_TRUE(p.x0 == q.x0 && p.y0 == q.y0 && p.x1 == q.x1 &&
+                    p.y1 == q.y1 && p.dir == q.dir)
+            << what << ": span " << i << " (" << p.x0 << "," << p.y0
+            << ")-(" << p.x1 << "," << p.y1 << ") vs (" << q.x0 << ","
+            << q.y0 << ")-(" << q.x1 << "," << q.y1 << ")";
+    }
+}
+
+TEST_F(MazeRouteTest, AStarMatchesDijkstraOracle) {
+    // Integer-valued costs make exact ties common, so the tie rule (not
+    // just the optimal cost) is checked; costs below 1 exercise the bound
+    // when it is small against the via cost. Endpoints near the 21x17 die
+    // edge clip the margin-8 window.
+    const int W = 21, H = 17;
+    cost_h_ = GridF(W, H);
+    cost_v_ = GridF(W, H);
+    Rng rng(2025);
+    int compared = 0;
+    auto check = [&](int x0, int y0, int x1, int y1, int margin) {
+        MazeConfig cfg;
+        cfg.window_margin = margin;
+        const RoutePath want = dijkstra_oracle(x0, y0, x1, y1, model_, margin);
+        ASSERT_FALSE(want.segs.empty());
+        expect_same_path(maze_route(x0, y0, x1, y1, model_, cfg), want,
+                         "(" + std::to_string(x0) + "," + std::to_string(y0) +
+                             ")->(" + std::to_string(x1) + "," +
+                             std::to_string(y1) + ") via " +
+                             std::to_string(model_.via_cost) + " margin " +
+                             std::to_string(margin));
+        ++compared;
+    };
+    for (const bool integer_costs : {true, false}) {
+        for (const double via : {0.0, 1.0, 3.0}) {
+            model_.via_cost = via;
+            for (const int margin : {0, 8}) {
+                for (int trial = 0; trial < 40; ++trial) {
+                    for (GridF* g : {&cost_h_, &cost_v_})
+                        for (double& v : *g)
+                            v = integer_costs ? rng.uniform_int(1, 4)
+                                              : rng.uniform(0.05, 1.0);
+                    int x0 = rng.uniform_int(0, W - 1);
+                    int y0 = rng.uniform_int(0, H - 1);
+                    int x1 = rng.uniform_int(0, W - 1);
+                    int y1 = rng.uniform_int(0, H - 1);
+                    const int kind = trial % 5;
+                    if (kind == 1 || kind == 3) x1 = x0;  // same cell / column
+                    if (kind == 1 || kind == 2) y1 = y0;  // same cell / row
+                    if (kind == 4) {  // opposite die corners
+                        x0 = 0;
+                        y0 = H - 1;
+                        x1 = W - 1;
+                        y1 = 0;
+                    }
+                    check(x0, y0, x1, y1, margin);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(compared, 480);
+}
+
+TEST_F(MazeRouteTest, ScratchReuseIsStateless) {
+    // The search buffers are reused per thread: a small window after a
+    // large one must not see stale marks or distances, and a large one
+    // after a small one must regrow cleanly.
+    const int n = 64;
+    cost_h_ = GridF(n, n);
+    cost_v_ = GridF(n, n);
+    Rng rng(404);
+    for (GridF* g : {&cost_h_, &cost_v_})
+        for (double& v : *g) v = rng.uniform_int(1, 6);
+    struct Call {
+        int x0, y0, x1, y1;
+    };
+    const std::vector<Call> calls = {
+        {2, 3, 60, 58}, {30, 30, 33, 31}, {61, 5, 4, 57}, {7, 7, 7, 7}};
+    auto run = [&](const Call& c) {
+        return maze_route(c.x0, c.y0, c.x1, c.y1, model_);
+    };
+    std::vector<RoutePath> forward;
+    for (const Call& c : calls) forward.push_back(run(c));
+    for (size_t i = calls.size(); i-- > 0;)
+        expect_same_path(run(calls[i]), forward[i],
+                         "reversed order, call " + std::to_string(i));
+    std::vector<RoutePath> fresh(calls.size());
+    std::thread t([&] {
+        for (const size_t i : {1u, 3u, 0u, 2u}) fresh[i] = run(calls[i]);
+    });
+    t.join();
+    for (size_t i = 0; i < calls.size(); ++i) {
+        expect_same_path(fresh[i], forward[i],
+                         "new thread, call " + std::to_string(i));
+        expect_same_path(forward[i],
+                         dijkstra_oracle(calls[i].x0, calls[i].y0, calls[i].x1,
+                                         calls[i].y1, model_, 8),
+                         "oracle, call " + std::to_string(i));
+    }
+}
+
+TEST_F(MazeRouteTest, NegativeMarginClampsToBoundingBox) {
+    // A negative margin once built a window that excluded an endpoint (or
+    // had a negative size); it now means margin 0.
+    Rng rng(9);
+    for (auto& v : cost_h_) v = rng.uniform(0.5, 4.0);
+    for (auto& v : cost_v_) v = rng.uniform(0.5, 4.0);
+    MazeConfig neg, zero;
+    neg.window_margin = -5;
+    zero.window_margin = 0;
+    const int ends[][4] = {{3, 3, 10, 8},
+                           {10, 8, 3, 3},
+                           {5, 5, 5, 5},
+                           {0, 0, 23, 0},
+                           {4, 20, 4, 2}};
+    for (const auto& e : ends) {
+        const RoutePath p = maze_route(e[0], e[1], e[2], e[3], model_, neg);
+        expect_contiguous(p, e[0], e[1], e[2], e[3]);
+        expect_same_path(p, maze_route(e[0], e[1], e[2], e[3], model_, zero),
+                         "margin -5 vs 0");
     }
 }
 
