@@ -1,7 +1,8 @@
 // Kernel microbenchmarks (google-benchmark): the building blocks whose
 // cost dominates the placement loop — FFT/DCT, the spectral Poisson solve,
 // density evaluation, WA wirelength, net decomposition, pattern routing,
-// the maze fallback, and a full router invocation.
+// the maze fallback, a full router invocation, and the post-legalization
+// legality checks.
 
 #include <benchmark/benchmark.h>
 
@@ -10,7 +11,9 @@
 #include <cmath>
 #include <vector>
 
+#include "audit/invariant_audit.hpp"
 #include "benchgen/generator.hpp"
+#include "benchgen/ispd_suite.hpp"
 #include "congestion/net_moving.hpp"
 #include "congestion/rudy.hpp"
 #include "density/electro_density.hpp"
@@ -22,6 +25,7 @@
 #include "router/maze_route.hpp"
 #include "router/net_decompose.hpp"
 #include "grid/splat_kernel.hpp"
+#include "legal/tetris.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -432,6 +436,29 @@ void BM_NetMovingGradient(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_NetMovingGradient)->Arg(1000)->Arg(4000);
+
+void BM_LegalityCheck(benchmark::State& state) {
+    // is_legal plus the `legalized` audit, the two whole-design legality
+    // checks of a placement run, on a Tetris-legalized superblue12 scaled
+    // to about range(0) cells (macros and IO pads included as fixed cells).
+    const double scale = static_cast<double>(state.range(0)) / 12500.0;
+    const SuiteEntry e = suite_entry("superblue12", scale);
+    Design d = generate_circuit(e.gen);
+    tetris_legalize(d);
+    if (!is_legal(d)) {
+        state.SkipWithError("superblue12 did not legalize");
+        return;
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(is_legal(d));
+        audit::check_legalized(d);
+    }
+    state.counters["cells"] = d.num_cells();
+}
+BENCHMARK(BM_LegalityCheck)
+    ->Arg(20000)
+    ->Arg(50000)
+    ->Unit(benchmark::kMillisecond);
 
 // --- Incremental congestion-estimation benchmarks ------------------------
 // Full-vs-incremental pairs emulating the routability loop's converged

@@ -13,11 +13,14 @@
 #   5. scalar build      RDP_SIMD=scalar build + full ctest suite (the
 #                        portable fallback backend must pass everything the
 #                        native-SIMD build passes, bit for bit)
-#   6. benchmark         python3 perfbench/test_run.py: builds the traced
+#   6. no-audit build    RDP_AUDIT=OFF build + full ctest suite (audits
+#                        compiled out; is_legal is then the only legality
+#                        check, and every result must be unchanged)
+#   7. benchmark         python3 perfbench/test_run.py: builds the traced
 #      self-test         benchmark binary, whose -Wl,--wrap interposers
 #                        fail to link when a wrapped library signature
 #                        changes, and checks that every wrapper fires
-#   7. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
+#   8. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
 #                        (fault injection), RDP_INCREMENTAL=1 ctest -L
@@ -197,7 +200,22 @@ else
     record_failure "scalar-backend build"
 fi
 
-# ---- 6. benchmark self-test -----------------------------------------------
+# ---- 6. audits compiled out + full test suite -----------------------------
+# RDP_AUDIT=OFF is a documented configuration (DESIGN.md §10): every audit
+# macro and auditor compiles to a no-op, and audit_test is not built. The
+# rest of the suite must still pass, with is_legal as the only legality
+# check.
+note "audits compiled out (RDP_AUDIT=OFF) + ctest"
+if cmake -B build-noaudit -S . -DRDP_AUDIT=OFF >/dev/null &&
+   cmake --build build-noaudit -j "$JOBS"; then
+    if ! ctest --test-dir build-noaudit --output-on-failure -j "$JOBS"; then
+        record_failure "no-audit ctest"
+    fi
+else
+    record_failure "no-audit build"
+fi
+
+# ---- 7. benchmark self-test -----------------------------------------------
 # The end-to-end benchmark (BENCHMARK.json) traces the library through
 # link-time wrappers on its public layer entry points. Its self-test builds
 # that binary and runs every workload at a tiny scale, so a renamed or
@@ -211,7 +229,7 @@ else
     missing_tool "python3"
 fi
 
-# ---- 7. sanitizer matrix --------------------------------------------------
+# ---- 8. sanitizer matrix --------------------------------------------------
 if [[ "$FAST" == 0 ]]; then
     sanitize_config() {
         local preset="$1" label="$2"

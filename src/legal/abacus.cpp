@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "legal/row_blockages.hpp"
+
 namespace rdp {
 
 namespace {
@@ -23,19 +25,11 @@ double abacus_refine(Design& d, const std::vector<Vec2>& desired) {
 
     // Free segments per row (subtract fixed blockages).
     const int nrows = static_cast<int>(d.rows.size());
+    const RowBlockages blockages(d);
     std::vector<std::vector<Interval>> free_segs(static_cast<size_t>(nrows));
-    for (int r = 0; r < nrows; ++r) {
-        const Row& row = d.rows[static_cast<size_t>(r)];
-        const Rect row_box{row.lx, row.y, row.hx, row.y + row.height};
-        std::vector<Interval> cuts;
-        for (const Cell& c : d.cells) {
-            if (c.movable()) continue;
-            const Rect b = c.bbox();
-            if (b.intersects(row_box)) cuts.push_back({b.lx, b.hx});
-        }
-        free_segs[static_cast<size_t>(r)] =
-            subtract_intervals({row.lx, row.hx}, std::move(cuts));
-    }
+    for (size_t r = 0; r < d.rows.size(); ++r)
+        free_segs[r] = subtract_intervals({d.rows[r].lx, d.rows[r].hx},
+                                          blockages.cuts(r));
 
     // Bucket movable cells by row.
     std::vector<std::vector<int>> by_row(static_cast<size_t>(nrows));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "legal/row_blockages.hpp"
 #include "wirelength/hpwl.hpp"
 
 namespace rdp {
@@ -50,18 +51,11 @@ DetailedPlaceStats detailed_place(Design& d, const DetailedPlaceConfig& cfg) {
     const int nrows = static_cast<int>(d.rows.size());
 
     // Fixed blockages per row (macros, pads): moves must not cross them.
+    const RowBlockages blockages(d);
     std::vector<std::vector<Interval>> blocked(static_cast<size_t>(nrows));
-    for (int r = 0; r < nrows; ++r) {
-        const Row& row = d.rows[static_cast<size_t>(r)];
-        const Rect row_box{row.lx, row.y, row.hx, row.y + row.height};
-        for (const Cell& c : d.cells) {
-            if (c.movable()) continue;
-            const Rect b = c.bbox();
-            if (b.intersects(row_box))
-                blocked[static_cast<size_t>(r)].push_back({b.lx, b.hx});
-        }
-        std::sort(blocked[static_cast<size_t>(r)].begin(),
-                  blocked[static_cast<size_t>(r)].end(),
+    for (size_t r = 0; r < blocked.size(); ++r) {
+        blocked[r] = blockages.cuts(r);
+        std::sort(blocked[r].begin(), blocked[r].end(),
                   [](const Interval& a, const Interval& b) {
                       return a.lo < b.lo;
                   });

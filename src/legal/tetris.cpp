@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <sstream>
+
+#include "legal/row_blockages.hpp"
 
 namespace rdp {
 
@@ -142,19 +145,12 @@ LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg) {
     std::vector<int> failed;
     if (d.rows.empty()) d.build_rows();
 
+    const RowBlockages blockages(d);
     std::vector<RowState> rows(d.rows.size());
     for (size_t i = 0; i < d.rows.size(); ++i) {
         rows[i].y = d.rows[i].y;
-        const Rect row_box{d.rows[i].lx, d.rows[i].y, d.rows[i].hx,
-                           d.rows[i].y + d.rows[i].height};
-        std::vector<Interval> cuts;
-        for (const Cell& c : d.cells) {
-            if (c.movable()) continue;
-            const Rect b = c.bbox();
-            if (b.intersects(row_box)) cuts.push_back({b.lx, b.hx});
-        }
-        rows[i].free_segs = subtract_intervals(
-            {d.rows[i].lx, d.rows[i].hx}, std::move(cuts));
+        rows[i].free_segs = subtract_intervals({d.rows[i].lx, d.rows[i].hx},
+                                               blockages.cuts(i));
         rows[i].all_segs = rows[i].free_segs;
         for (const Interval& iv : rows[i].free_segs)
             rows[i].free_width += iv.length();
@@ -255,51 +251,89 @@ LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg) {
     return stats;
 }
 
-bool is_legal(const Design& d, double eps) {
+std::optional<std::string> legality_violation(const Design& d, double eps) {
+    auto fail = [](const auto&... parts) {
+        std::ostringstream oss;
+        (oss << ... << parts);
+        return std::optional<std::string>(oss.str());
+    };
     // Site/row alignment and containment.
-    for (const Cell& c : d.cells) {
+    for (int i = 0; i < d.num_cells(); ++i) {
+        const Cell& c = d.cells[static_cast<size_t>(i)];
         if (!c.movable()) continue;
         const Rect b = c.bbox();
         if (b.lx < d.region.lx - eps || b.hx > d.region.hx + eps ||
             b.ly < d.region.ly - eps || b.hy > d.region.hy + eps)
-            return false;
+            return fail("cell ", i, " ('", c.name, "') leaves the region: [",
+                        b.lx, ", ", b.ly, ", ", b.hx, ", ", b.hy, "]");
         const double row_rel = (b.ly - d.region.ly) / d.row_height;
-        if (std::abs(row_rel - std::round(row_rel)) > 1e-4) return false;
+        if (std::abs(row_rel - std::round(row_rel)) > 1e-4)
+            return fail("cell ", i, " ('", c.name, "') is not row-aligned:",
+                        " bottom edge ", b.ly, " (row height ", d.row_height,
+                        ")");
         const double site_rel = (b.lx - d.region.lx) / d.site_width;
-        if (std::abs(site_rel - std::round(site_rel)) > 1e-4) return false;
+        if (std::abs(site_rel - std::round(site_rel)) > 1e-4)
+            return fail("cell ", i, " ('", c.name, "') is not site-aligned:",
+                        " left edge ", b.lx, " (site width ", d.site_width,
+                        ")");
     }
-    // Overlaps via row-bucketed sweep.
+    // Bucket each movable cell into every row it spans: from its bottom row
+    // through the last row its top edge reaches more than 2e-4 row heights
+    // into (twice the alignment tolerance, so an aligned single-row cell
+    // never spills into the row above).
+    const int nrows = static_cast<int>(d.rows.size());
     std::vector<std::vector<int>> by_row(d.rows.size());
     for (int i = 0; i < d.num_cells(); ++i) {
         const Cell& c = d.cells[static_cast<size_t>(i)];
         if (!c.movable()) continue;
+        const Rect b = c.bbox();
         const int r = static_cast<int>(
-            std::round((c.bbox().ly - d.region.ly) / d.row_height));
-        if (r < 0 || r >= static_cast<int>(by_row.size())) return false;
-        by_row[static_cast<size_t>(r)].push_back(i);
+            std::round((b.ly - d.region.ly) / d.row_height));
+        if (r < 0 || r >= nrows)
+            return fail("cell ", i, " ('", c.name, "') sits outside the ",
+                        nrows, " rows (row index ", r, ")");
+        const int top = static_cast<int>(
+            std::ceil((b.hy - d.region.ly) / d.row_height - 2e-4));
+        const int last = std::clamp(top - 1, r, nrows - 1);
+        for (int k = r; k <= last; ++k)
+            by_row[static_cast<size_t>(k)].push_back(i);
     }
+    // Per row: overlaps between neighbours in x order, then overlaps with
+    // fixed cells, reported as the smallest overlapping fixed-cell index.
+    // The fixed-cell query covers every row a cell spans, so a taller cell
+    // is settled in its bottom row; its later rows repeat the same answer.
+    const RowBlockages blockages(d);
     for (auto& row : by_row) {
         std::sort(row.begin(), row.end(), [&](int a, int b) {
             return d.cells[static_cast<size_t>(a)].bbox().lx <
                    d.cells[static_cast<size_t>(b)].bbox().lx;
         });
         for (size_t i = 0; i + 1 < row.size(); ++i) {
-            const Rect a = d.cells[static_cast<size_t>(row[i])].bbox();
-            const Rect b = d.cells[static_cast<size_t>(row[i + 1])].bbox();
-            if (a.hx > b.lx + eps) return false;
+            const Cell& ca = d.cells[static_cast<size_t>(row[i])];
+            const Cell& cb = d.cells[static_cast<size_t>(row[i + 1])];
+            const Rect a = ca.bbox();
+            const Rect b = cb.bbox();
+            if (a.hx > b.lx + eps)
+                return fail("cells ", row[i], " ('", ca.name, "') and ",
+                            row[i + 1], " ('", cb.name,
+                            "') overlap in a row by ", a.hx - b.lx);
         }
-        // Overlap with fixed cells.
         for (int ci : row) {
-            const Rect b =
-                d.cells[static_cast<size_t>(ci)].bbox().expanded(-eps);
+            const Cell& c = d.cells[static_cast<size_t>(ci)];
+            const Rect b = c.bbox().expanded(-eps);
             if (b.empty()) continue;
-            for (const Cell& f : d.cells) {
-                if (f.movable()) continue;
-                if (b.intersects(f.bbox())) return false;
-            }
+            const int fi = blockages.first_overlap(b);
+            if (fi >= 0)
+                return fail("cell ", ci, " ('", c.name,
+                            "') overlaps fixed cell ", fi, " ('",
+                            d.cells[static_cast<size_t>(fi)].name, "')");
         }
     }
-    return true;
+    return std::nullopt;
+}
+
+bool is_legal(const Design& d, double eps) {
+    return !legality_violation(d, eps).has_value();
 }
 
 }  // namespace rdp

@@ -5,6 +5,8 @@
 // and macros. This is the classic fast legalizer used after electrostatic
 // global placement; Abacus (abacus.hpp) then refines each row.
 
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "db/design.hpp"
@@ -29,7 +31,18 @@ struct LegalizeStats {
 /// row height (single-row standard cells). Returns displacement statistics.
 LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg = {});
 
-/// True if no two movable cells overlap and every movable cell sits on a
+/// The first legality violation of the movable cells, as a message naming
+/// the offending cell(s), or nullopt when the placement is legal. Checks,
+/// in order: per cell, region containment and row and site alignment; that
+/// every cell's bottom row exists; then per row, bottom-up, overlaps
+/// between neighbours in x order and overlaps with fixed cells (through
+/// the per-row blockage index). A cell taller than a row is checked in
+/// every row it spans. Overlaps and misalignments up to `eps` are allowed.
+std::optional<std::string> legality_violation(const Design& d,
+                                              double eps = 1e-6);
+
+/// True if legality_violation finds nothing: no two movable cells overlap,
+/// no movable cell overlaps a fixed cell, and every movable cell sits on a
 /// row and site boundary inside the region (tolerance `eps`).
 bool is_legal(const Design& d, double eps = 1e-6);
 

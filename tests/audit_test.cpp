@@ -16,6 +16,7 @@
 #include "place/objective.hpp"
 #include "place/routability_loop.hpp"
 #include "router/global_router.hpp"
+#include "legality_oracle.hpp"
 #include "util/check.hpp"
 
 namespace rdp {
@@ -352,6 +353,60 @@ TEST_F(AuditTest, LegalizedAuditorTripsOnOverlapAndMisalignment) {
         FAIL() << "row misalignment did not trip";
     } catch (const AuditFailure& e) {
         EXPECT_NE(std::string(e.what()).find("row"), std::string::npos);
+    }
+}
+
+/// The message check_legalized throws for `d`, or nullopt when it passes.
+std::optional<std::string> legalized_audit_message(const Design& d) {
+    try {
+        audit::check_legalized(d);
+    } catch (const AuditFailure& e) {
+        EXPECT_EQ(e.invariant(), "legalized");
+        const std::string what = e.what();
+        const std::string head = "invariant=legalized: ";
+        return what.substr(what.find(head) + head.size());
+    }
+    return std::nullopt;
+}
+
+TEST_F(AuditTest, LegalizedAuditorCatchesCellTallerThanARow) {
+    Design d;
+    d.region = {0, 0, 100, 16};
+    d.row_height = 8;
+    d.site_width = 1;
+    d.build_rows();
+    d.add_cell("tall", 4, 16, CellKind::Movable, {10, 8});
+    d.add_cell("short", 4, 8, CellKind::Movable, {10, 12});
+    const auto msg = legalized_audit_message(d);
+    ASSERT_TRUE(msg.has_value()) << "overlap with a two-row cell not caught";
+    EXPECT_NE(msg->find("overlap in a row"), std::string::npos) << *msg;
+}
+
+TEST_F(AuditTest, LegalizedAuditorNamesTheMacroUnderACell) {
+    Design d;
+    d.region = {0, 0, 100, 80};
+    d.row_height = 8;
+    d.site_width = 1;
+    d.build_rows();
+    d.add_cell("macro", 20, 24, CellKind::Macro, {50, 20});
+    d.add_cell("c", 4, 8, CellKind::Movable, {58, 28});
+    EXPECT_EQ(legalized_audit_message(d),
+              "cell 1 ('c') overlaps fixed cell 0 ('macro')");
+    d.cells[1].pos = {62, 28};  // touching the macro: legal
+    EXPECT_EQ(legalized_audit_message(d), std::nullopt);
+}
+
+TEST_F(AuditTest, LegalizedAuditorMatchesBruteForceMessages) {
+    // Same verdict and wording as the O(n·N) reference on legalized designs
+    // with one injected fault each.
+    for (uint64_t seed : {51, 52}) {
+        const Design base = oracle::legalized_design(seed);
+        Rng rng(seed);
+        for (int t = 0; t < 120; ++t) {
+            const Design d = oracle::inject(base, rng);
+            EXPECT_EQ(legalized_audit_message(d), oracle::first_violation(d))
+                << "seed " << seed << " trial " << t;
+        }
     }
 }
 

@@ -1,5 +1,7 @@
 // Tests for the legalization stack: Tetris, Abacus refinement, and greedy
-// detailed placement — legality invariants over randomized designs.
+// detailed placement — legality invariants over randomized designs — and
+// for the legality scan and the per-row blockage index they share,
+// against brute-force references (legality_oracle.hpp).
 
 #include <gtest/gtest.h>
 
@@ -7,7 +9,9 @@
 #include "legal/abacus.hpp"
 #include "legal/detailed_place.hpp"
 #include "legal/pin_access_refine.hpp"
+#include "legal/row_blockages.hpp"
 #include "legal/tetris.hpp"
+#include "legality_oracle.hpp"
 #include "util/rng.hpp"
 #include "wirelength/hpwl.hpp"
 
@@ -98,6 +102,152 @@ TEST(IsLegalTest, DetectsViolations) {
     EXPECT_FALSE(is_legal(d));
     d.cells[1].pos = {99, 4};  // sticks out of the region
     EXPECT_FALSE(is_legal(d));
+}
+
+/// Empty design with 8-high rows and unit sites.
+Design rows_design(double width, double height) {
+    Design d;
+    d.region = {0, 0, width, height};
+    d.row_height = 8;
+    d.site_width = 1;
+    d.build_rows();
+    return d;
+}
+
+TEST(IsLegalTest, DetectsOverlapWithCellTallerThanARow) {
+    Design d = rows_design(100, 16);
+    d.add_cell("tall", 4, 16, CellKind::Movable, {10, 8});   // rows 0-1
+    d.add_cell("short", 4, 8, CellKind::Movable, {10, 12});  // row 1
+    EXPECT_FALSE(is_legal(d));
+    const auto msg = legality_violation(d);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_NE(msg->find("overlap in a row by 4"), std::string::npos) << *msg;
+    d.cells[1].pos = {14, 12};  // touching the tall cell's right edge
+    EXPECT_TRUE(is_legal(d));
+}
+
+TEST(IsLegalTest, CellWithinAlignmentToleranceStaysInItsRow) {
+    // 5e-4 above row 0 is inside the row-alignment tolerance (1e-4 rows):
+    // the cell counts as a row-0 cell and does not meet the row-1 cell.
+    Design d = rows_design(100, 16);
+    d.add_cell("a", 4, 8, CellKind::Movable, {10, 4 + 5e-4});
+    d.add_cell("b", 4, 8, CellKind::Movable, {10, 12});
+    EXPECT_TRUE(is_legal(d));
+}
+
+TEST(IsLegalTest, MacroSpanningSeveralRows) {
+    Design d = rows_design(100, 80);
+    d.add_cell("macro", 20, 24, CellKind::Macro, {50, 20});  // rows 1-3
+    const int c = d.add_cell("c", 4, 8, CellKind::Movable, {52, 20});
+    EXPECT_EQ(legality_violation(d),
+              "cell 1 ('c') overlaps fixed cell 0 ('macro')");
+    d.cells[c].pos = {58, 28};  // top row of the macro, partly under it
+    EXPECT_FALSE(is_legal(d));
+    d.cells[c].pos = {62, 20};  // touching its right edge
+    EXPECT_TRUE(is_legal(d));
+    d.cells[c].pos = {46, 36};  // touching its top edge
+    EXPECT_TRUE(is_legal(d));
+    d.cells[c].pos = {46, 4};  // touching its bottom edge
+    EXPECT_TRUE(is_legal(d));
+    d.cells[c].pos = {62 - 5e-7, 20};  // overlap below eps
+    EXPECT_TRUE(is_legal(d));
+    d.cells[c].pos = {62 - 1e-5, 20};  // overlap above eps
+    EXPECT_FALSE(is_legal(d));
+}
+
+TEST(IsLegalTest, IoPadsOnTheDieEdge) {
+    Design d = rows_design(100, 80);
+    d.add_cell("pad_left", 1, 1, CellKind::Fixed, {0, 36});
+    d.add_cell("pad_top", 1, 1, CellKind::Fixed, {30, 80});
+    const int c = d.add_cell("c", 4, 8, CellKind::Movable, {2, 36});
+    EXPECT_EQ(legality_violation(d),
+              "cell 2 ('c') overlaps fixed cell 0 ('pad_left')");
+    d.cells[c].pos = {3, 36};  // clear of the pad's inner half
+    EXPECT_TRUE(is_legal(d));
+    d.cells[c].pos = {30, 76};  // top row, under the top pad
+    EXPECT_EQ(legality_violation(d),
+              "cell 2 ('c') overlaps fixed cell 1 ('pad_top')");
+    d.cells[c].pos = {30, 68};
+    EXPECT_TRUE(is_legal(d));
+}
+
+TEST(IsLegalTest, ReportsSmallestOverlappingFixedCell) {
+    // The tall cell meets fixed cell 1 in its bottom row and fixed cell 0
+    // in the row above; the message names cell 0 either way.
+    Design d = rows_design(100, 32);
+    d.add_cell("upper", 2, 8, CellKind::Fixed, {21, 12});  // row 1
+    d.add_cell("lower", 2, 8, CellKind::Fixed, {23, 4});   // row 0
+    d.add_cell("tall", 8, 16, CellKind::Movable, {22, 8});
+    EXPECT_EQ(legality_violation(d),
+              "cell 2 ('tall') overlaps fixed cell 0 ('upper')");
+}
+
+TEST(IsLegalTest, FixedCellAboveTheTopRow) {
+    // A 20-high region holds two 8-high rows; the fixed cell sits in the
+    // strip above them and meets only a cell that reaches into the strip.
+    Design d = rows_design(100, 20);
+    ASSERT_EQ(d.rows.size(), 2u);
+    d.add_cell("cap", 4, 3, CellKind::Fixed, {22, 18.5});
+    const int c = d.add_cell("c", 4, 12, CellKind::Movable, {22, 14});
+    EXPECT_EQ(legality_violation(d),
+              "cell 1 ('c') overlaps fixed cell 0 ('cap')");
+    d.cells[c].pos = {26, 14};
+    EXPECT_TRUE(is_legal(d));
+}
+
+TEST(RowBlockagesTest, EachRowMatchesAScanOfEveryCell) {
+    std::vector<Design> designs;
+    for (uint64_t seed : {41, 42, 43})
+        designs.push_back(oracle::legalized_design(seed));
+    // Hand-made: a macro over several rows, pads on and past the die edge,
+    // a fixed cell above the top row, and fixed cells sharing rows out of
+    // x order.
+    Design h = rows_design(100, 20);
+    h.add_cell("macro", 20, 12, CellKind::Macro, {50, 8});
+    h.add_cell("pad", 1, 1, CellKind::Fixed, {100, 8});
+    h.add_cell("outside", 2, 2, CellKind::Fixed, {-5, 4});
+    h.add_cell("cap", 4, 3, CellKind::Fixed, {22, 18.5});
+    h.add_cell("right", 2, 8, CellKind::Fixed, {90, 4});
+    h.add_cell("left", 2, 8, CellKind::Fixed, {10, 4});
+    h.add_cell("m", 2, 8, CellKind::Movable, {30, 4});
+    designs.push_back(h);
+
+    for (const Design& d : designs) {
+        const RowBlockages index(d);
+        for (size_t r = 0; r < d.rows.size(); ++r) {
+            const std::vector<oracle::RowEntry> want = oracle::row_scan(d, r);
+            std::vector<oracle::RowEntry> got;
+            for (const RowBlockage& f : index.row(r))
+                got.push_back({f.cell, f.box.lx, f.box.hx});
+            EXPECT_EQ(got, want) << d.name << " row " << r;
+            const std::vector<Interval> cuts = index.cuts(r);
+            ASSERT_EQ(cuts.size(), want.size());
+            for (size_t k = 0; k < cuts.size(); ++k) {
+                EXPECT_EQ(cuts[k].lo, want[k].lx);
+                EXPECT_EQ(cuts[k].hi, want[k].hx);
+            }
+        }
+    }
+}
+
+TEST(IsLegalTest, MatchesBruteForceOnInjectedFaults) {
+    int legal = 0, illegal = 0;
+    for (uint64_t seed : {31, 32, 33}) {
+        const Design base = oracle::legalized_design(seed);
+        ASSERT_FALSE(oracle::first_violation(base).has_value());
+        Rng rng(seed);
+        for (int t = 0; t < 200; ++t) {
+            const Design d = oracle::inject(base, rng);
+            const std::optional<std::string> want =
+                oracle::first_violation(d);
+            EXPECT_EQ(is_legal(d), !want.has_value());
+            EXPECT_EQ(legality_violation(d), want)
+                << "seed " << seed << " trial " << t;
+            ++(want ? illegal : legal);
+        }
+    }
+    EXPECT_GT(legal, 0);
+    EXPECT_GT(illegal, 0);
 }
 
 TEST(AbacusTest, PreservesLegalityAndReducesDisplacement) {
