@@ -13,14 +13,18 @@
 #   5. scalar build      RDP_SIMD=scalar build + full ctest suite (the
 #                        portable fallback backend must pass everything the
 #                        native-SIMD build passes, bit for bit)
-#   6. no-audit build    RDP_AUDIT=OFF build + full ctest suite (audits
+#   6. release build     CMAKE_BUILD_TYPE=Release (-O3) + full ctest suite
+#                        (the determinism contract must hold at -O3 too:
+#                        higher optimization levels are where GCC forms
+#                        vfmaddsub from an interleaved subtract/add)
+#   7. no-audit build    RDP_AUDIT=OFF build + full ctest suite (audits
 #                        compiled out; is_legal is then the only legality
 #                        check, and every result must be unchanged)
-#   7. benchmark         python3 perfbench/test_run.py: builds the traced
+#   8. benchmark         python3 perfbench/test_run.py: builds the traced
 #      self-test         benchmark binary, whose -Wl,--wrap interposers
 #                        fail to link when a wrapped library signature
 #                        changes, and checks that every wrapper fires
-#   8. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
+#   9. sanitizer matrix  address, undefined, address;undefined -> ctest -L sanitize
 #                        thread                                -> ctest -L parallel
 #                        plus explicit ASan+UBSan passes: ctest -L recover
 #                        (fault injection), RDP_INCREMENTAL=1 ctest -L
@@ -200,7 +204,21 @@ else
     record_failure "scalar-backend build"
 fi
 
-# ---- 6. audits compiled out + full test suite -----------------------------
+# ---- 6. Release (-O3) build + full test suite ------------------------------
+# The bitwise-identity tests (SIMD backends, thread counts, incremental vs
+# full, resume) must pass in every build type the repo supports, not only
+# the default -O2 one.
+note "release build (CMAKE_BUILD_TYPE=Release, -O3) + ctest"
+if cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null &&
+   cmake --build build-release -j "$JOBS"; then
+    if ! ctest --test-dir build-release --output-on-failure -j "$JOBS"; then
+        record_failure "release ctest"
+    fi
+else
+    record_failure "release build"
+fi
+
+# ---- 7. audits compiled out + full test suite -----------------------------
 # RDP_AUDIT=OFF is a documented configuration (DESIGN.md §10): every audit
 # macro and auditor compiles to a no-op, and audit_test is not built. The
 # rest of the suite must still pass, with is_legal as the only legality
@@ -215,7 +233,7 @@ else
     record_failure "no-audit build"
 fi
 
-# ---- 7. benchmark self-test -----------------------------------------------
+# ---- 8. benchmark self-test -----------------------------------------------
 # The end-to-end benchmark (BENCHMARK.json) traces the library through
 # link-time wrappers on its public layer entry points. Its self-test builds
 # that binary and runs every workload at a tiny scale, so a renamed or
@@ -229,7 +247,7 @@ else
     missing_tool "python3"
 fi
 
-# ---- 8. sanitizer matrix --------------------------------------------------
+# ---- 9. sanitizer matrix --------------------------------------------------
 if [[ "$FAST" == 0 ]]; then
     sanitize_config() {
         local preset="$1" label="$2"

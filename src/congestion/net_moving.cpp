@@ -2,12 +2,20 @@
 
 #include <cassert>
 #include <cmath>
+#include <ostream>
 
 #include "congestion/virtual_cell.hpp"
 #include "router/net_decompose.hpp"
 #include "util/parallel.hpp"
 
 namespace rdp {
+
+void write_fingerprint(std::ostream& os, const NetMovingConfig& c) {
+    os << "nm=" << c.multi_pin_congestion_threshold << ":"
+       << c.min_virtual_congestion << ":" << c.min_pin_distance_frac << ":"
+       << c.max_distance_scale << ":" << c.move_multi_pin_edges << ":"
+       << c.max_multi_pin_degree;
+}
 
 VirtualCell NetMovingGradient::two_pin_gradient(
     const Design& d, Vec2 p1, Vec2 p2, int cell1, int cell2,

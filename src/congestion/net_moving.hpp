@@ -14,6 +14,7 @@
 //     the plain field gradient (Algorithm 2, lines 7-15).
 // Gradients superpose over all nets (Algorithm 2, closing remark).
 
+#include <iosfwd>
 #include <vector>
 
 #include "congestion/congestion_field.hpp"
@@ -45,6 +46,11 @@ struct NetMovingConfig {
     /// Degree cap for the extension (giant nets contribute noise).
     int max_multi_pin_degree = 12;
 };
+
+/// Write every field of `c` to `os`, at the stream's precision, for the
+/// durable-checkpoint fingerprint (DESIGN.md §16). A new field is added
+/// here too.
+void write_fingerprint(std::ostream& os, const NetMovingConfig& c);
 
 struct NetMovingResult {
     /// Congestion gradient CGrad per cell (dC/d center); zero for cells not

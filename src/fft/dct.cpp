@@ -17,17 +17,21 @@ DctPlan::DctPlan(int n) : n_(n), m_(n / 2) {
     assert(is_pow2(n));
     cos_.resize(static_cast<size_t>(n));
     sin_.resize(static_cast<size_t>(n));
+    ncos_.resize(static_cast<size_t>(n));
     for (int k = 0; k < n; ++k) {
         const double ang = M_PI * k / (2.0 * n);
         cos_[static_cast<size_t>(k)] = std::cos(ang);
         sin_[static_cast<size_t>(k)] = std::sin(ang);
+        ncos_[static_cast<size_t>(k)] = -cos_[static_cast<size_t>(k)];
     }
     if (m_ >= 1) {
         fft_ = &fft_plan(m_);
         wr_.resize(static_cast<size_t>(m_) + 1);
+        nwi_.resize(static_cast<size_t>(m_) + 1);
         for (int k = 0; k <= m_; ++k) {
             const double ang = -2.0 * M_PI * k / n;
             wr_[static_cast<size_t>(k)] = {std::cos(ang), std::sin(ang)};
+            nwi_[static_cast<size_t>(k)] = -wr_[static_cast<size_t>(k)].imag();
         }
     }
 }

@@ -46,6 +46,10 @@ private:
     std::vector<double> cos_;             ///< cos(pi k / (2N)), k < n
     std::vector<double> sin_;             ///< sin(pi k / (2N)), k < n
     std::vector<std::complex<double>> wr_;  ///< e^{-2 pi i k / N}, k <= m
+    /// Sign-folded twins for the idct2 vector passes (fft/dct_kernel.hpp):
+    /// -cos_[k] and -Im(wr_[k]).
+    std::vector<double> ncos_;
+    std::vector<double> nwi_;
 };
 
 /// Process-wide plan cache (thread-safe; references live forever).

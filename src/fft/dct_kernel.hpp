@@ -10,6 +10,15 @@
 // bit-identical output on every backend — and identical to the
 // pre-vectorization scalar code. Vector groups and tails partition the
 // index range as a pure function of the transform size.
+//
+// The idct2 complex multiplies in the vector loops are written as plain
+// adds of products, with the minus signs folded into the plan's negated
+// tables (ncos_, nwi_): a - b*c is computed as a + b*(-c), which IEEE
+// rounds identically. An interleaved subtract/add of products is what GCC
+// turns into vfmaddsub at -O3 — even under -ffp-contract=off and, through
+// SLP, in the 4-lane scalar emulation only — which broke cross-backend
+// bitwise identity. The vector FFT butterflies avoid it the same way
+// (fft/fft_kernel.hpp). The scalar tails below still subtract products.
 
 #include <cmath>
 #include <cstring>
@@ -104,14 +113,18 @@ void DctWorkspace::idct2_with(double* x) {
     vbuf_[0] = {x[0], 0.0};
     vbuf_[static_cast<size_t>(m)] = {x[m] * M_SQRT2, 0.0};
     double* vd = reinterpret_cast<double*>(vbuf_.data());
+    const double* ncs = p.ncos_.data();
     int k = 1;
     for (; k + L <= m; k += L) {
+        // With xr = x[n-k] = -im: re*c - im*s == re*c + xr*s and
+        // re*s + im*c == re*s + xr*(-c), bit for bit (see the file comment).
         const V re = V::loadu(x + k);
-        const V im = vneg(reverse_lanes(V::loadu(x + (n - k - (L - 1)))));
+        const V xr = reverse_lanes(V::loadu(x + (n - k - (L - 1))));
         const V c = V::loadu(cs + k);
         const V s = V::loadu(sn + k);
-        interleave2(vd + 2 * k, nmul_add(im, s, re * c),   // re*c - im*s
-                    mul_add(im, c, re * s));               // re*s + im*c
+        const V nc = V::loadu(ncs + k);
+        interleave2(vd + 2 * k, mul_add(xr, s, re * c),  // re*c - im*s
+                    mul_add(xr, nc, re * s));            // re*s + im*c
     }
     for (; k < m; ++k) {
         const double re = x[k];
@@ -125,6 +138,7 @@ void DctWorkspace::idct2_with(double* x) {
                0.5 * (vbuf_[0].real() - vbuf_[static_cast<size_t>(m)].real())};
     double* bd = reinterpret_cast<double*>(buf_.data());
     const double* wd = reinterpret_cast<const double*>(p.wr_.data());
+    const double* nwd = p.nwi_.data();
     const V half = V::set1(0.5);
     k = 1;
     for (; k + L <= m; k += L) {
@@ -141,8 +155,9 @@ void DctWorkspace::idct2_with(double* x) {
         V wr, wi;
         deinterleave2(wd + 2 * k, wr, wi);
         // O = conj(W^k) * (V[k] - conj(V[m-k])) / 2; Z[k] = E + i O.
-        const V odr = mul_add(wi, gi, wr * gr);   // wr*gr + wi*gi
-        const V odi = nmul_add(wi, gr, wr * gi);  // wr*gi - wi*gr
+        const V odr = mul_add(wi, gi, wr * gr);  // wr*gr + wi*gi
+        const V odi =
+            mul_add(V::loadu(nwd + k), gr, wr * gi);  // wr*gi - wi*gr
         interleave2(bd + 2 * k, er - odi, ei + odr);
     }
     for (; k < m; ++k) {

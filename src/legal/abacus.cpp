@@ -23,19 +23,20 @@ struct Cluster {
 double abacus_refine(Design& d, const std::vector<Vec2>& desired) {
     if (d.rows.empty()) d.build_rows();
 
-    // Free segments per row (subtract fixed blockages).
+    // Free segments per row: subtract the fixed blockages and the movable
+    // cells taller than a row, which stay where Tetris put them.
     const int nrows = static_cast<int>(d.rows.size());
-    const RowBlockages blockages(d);
+    const std::vector<std::vector<Interval>> cuts = refiner_row_cuts(d);
     std::vector<std::vector<Interval>> free_segs(static_cast<size_t>(nrows));
     for (size_t r = 0; r < d.rows.size(); ++r)
-        free_segs[r] = subtract_intervals({d.rows[r].lx, d.rows[r].hx},
-                                          blockages.cuts(r));
+        free_segs[r] =
+            subtract_intervals({d.rows[r].lx, d.rows[r].hx}, cuts[r]);
 
-    // Bucket movable cells by row.
+    // Bucket the single-row movable cells by row.
     std::vector<std::vector<int>> by_row(static_cast<size_t>(nrows));
     for (int i = 0; i < d.num_cells(); ++i) {
         const Cell& c = d.cells[static_cast<size_t>(i)];
-        if (!c.movable()) continue;
+        if (!c.movable() || spanned_rows(c, d.row_height) > 1) continue;
         const int r = std::clamp(
             static_cast<int>(
                 std::round((c.bbox().ly - d.region.ly) / d.row_height)),

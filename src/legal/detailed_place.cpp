@@ -50,11 +50,11 @@ DetailedPlaceStats detailed_place(Design& d, const DetailedPlaceConfig& cfg) {
     if (d.rows.empty()) d.build_rows();
     const int nrows = static_cast<int>(d.rows.size());
 
-    // Fixed blockages per row (macros, pads): moves must not cross them.
-    const RowBlockages blockages(d);
-    std::vector<std::vector<Interval>> blocked(static_cast<size_t>(nrows));
+    // Blockages per row (macros, pads, and the movable cells taller than a
+    // row, which detailed placement leaves in place): moves must not cross
+    // them.
+    std::vector<std::vector<Interval>> blocked = refiner_row_cuts(d);
     for (size_t r = 0; r < blocked.size(); ++r) {
-        blocked[r] = blockages.cuts(r);
         std::sort(blocked[r].begin(), blocked[r].end(),
                   [](const Interval& a, const Interval& b) {
                       return a.lo < b.lo;
@@ -69,11 +69,11 @@ DetailedPlaceStats detailed_place(Design& d, const DetailedPlaceConfig& cfg) {
     };
 
     for (int pass = 0; pass < cfg.max_passes; ++pass) {
-        // Bucket movable cells by row, ordered by x.
+        // Bucket the single-row movable cells by row, ordered by x.
         std::vector<std::vector<int>> by_row(static_cast<size_t>(nrows));
         for (int i = 0; i < d.num_cells(); ++i) {
             const Cell& c = d.cells[static_cast<size_t>(i)];
-            if (!c.movable()) continue;
+            if (!c.movable() || spanned_rows(c, d.row_height) > 1) continue;
             const int r = std::clamp(
                 static_cast<int>(
                     std::round((c.bbox().ly - d.region.ly) / d.row_height)),

@@ -1,6 +1,7 @@
 #include "legal/row_blockages.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 namespace rdp {
@@ -67,6 +68,29 @@ int RowBlockages::first_overlap(const Rect& b) const {
         b.hy > row_defs_.back().y + row_defs_.back().height)
         scan(unrowed_);
     return best;
+}
+
+int spanned_rows(const Cell& c, double row_height) {
+    return std::max(1, static_cast<int>(
+                           std::ceil(c.height / row_height - 2e-4)));
+}
+
+std::vector<std::vector<Interval>> refiner_row_cuts(const Design& d) {
+    const RowBlockages blockages(d);
+    const int nrows = static_cast<int>(d.rows.size());
+    std::vector<std::vector<Interval>> out(d.rows.size());
+    for (size_t r = 0; r < d.rows.size(); ++r) out[r] = blockages.cuts(r);
+    for (const Cell& c : d.cells) {
+        if (!c.movable()) continue;
+        const int span = spanned_rows(c, d.row_height);
+        if (span == 1) continue;
+        const Rect b = c.bbox();
+        const int r = static_cast<int>(
+            std::round((b.ly - d.region.ly) / d.row_height));
+        for (int k = std::max(r, 0); k < std::min(r + span, nrows); ++k)
+            out[static_cast<size_t>(k)].push_back({b.lx, b.hx});
+    }
+    return out;
 }
 
 }  // namespace rdp

@@ -47,4 +47,18 @@ private:
     std::vector<RowBlockage> unrowed_;  ///< fixed cells in no row
 };
 
+/// Rows a movable cell occupies: 1 for a standard cell, more for a cell
+/// taller than a row. Its top edge may reach up to 2e-4 row heights into
+/// the next row without occupying it, the tolerance legality_violation
+/// (tetris.hpp) uses.
+int spanned_rows(const Cell& c, double row_height);
+
+/// Per row, every [lx, hx] interval a single-row movable cell must stay
+/// out of: the fixed blockages (RowBlockages::cuts, in its order), then the
+/// movable cells that span more than one row, each listed in every row it
+/// spans from the bottom row its current position rounds to, in cell-index
+/// order. Abacus and detailed placement keep such cells where Tetris put
+/// them and refine the single-row cells around them.
+std::vector<std::vector<Interval>> refiner_row_cuts(const Design& d);
+
 }  // namespace rdp

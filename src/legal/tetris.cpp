@@ -18,7 +18,9 @@ namespace {
 struct RowState {
     double y = 0.0;
     std::vector<Interval> free_segs;   ///< sorted, disjoint
-    std::vector<Interval> all_segs;    ///< segments before any placement
+    /// Segments before any single-row placement (cells taller than a row
+    /// are cut out of them like fixed blockages).
+    std::vector<Interval> all_segs;
     std::vector<int> placed;           ///< cells placed into this row
     double free_width = 0.0;           ///< total remaining free width
 };
@@ -30,14 +32,14 @@ double snap_down(double x, double lx, double site) {
     return lx + std::floor((x - lx) / site + 1e-9) * site;
 }
 
-/// Best legal left-edge for a cell of `width` wanting `want`, or a negative
-/// value when the row has no room. Prefers the position minimizing
-/// |x - want|.
-double find_slot(const RowState& r, double want, double width,
-                 double site_width, double region_lx) {
+/// Best legal left-edge for a cell of `width` wanting `want` in the sorted,
+/// disjoint free intervals `free_segs`, or a negative value when there is no
+/// room. Prefers the position minimizing |x - want|.
+double find_slot(const std::vector<Interval>& free_segs, double want,
+                 double width, double site_width, double region_lx) {
     double best = -1.0;
     double best_cost = std::numeric_limits<double>::max();
-    for (const Interval& iv : r.free_segs) {
+    for (const Interval& iv : free_segs) {
         const double lo = snap_up(iv.lo, region_lx, site_width);
         const double hi = snap_down(iv.hi, region_lx, site_width);
         if (hi - lo < width - 1e-9) continue;
@@ -79,6 +81,33 @@ void consume(RowState& r, double x, double width) {
         }
         return;
     }
+}
+
+/// Intersection of two sorted, disjoint interval lists.
+std::vector<Interval> intersect(const std::vector<Interval>& a,
+                                const std::vector<Interval>& b) {
+    std::vector<Interval> out;
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        const double lo = std::max(a[i].lo, b[j].lo);
+        const double hi = std::min(a[i].hi, b[j].hi);
+        if (hi > lo) out.push_back({lo, hi});
+        if (a[i].hi < b[j].hi)
+            ++i;
+        else
+            ++j;
+    }
+    return out;
+}
+
+/// The free intervals common to rows r .. r+span-1, for a cell that spans
+/// them all.
+std::vector<Interval> stacked_free(const std::vector<RowState>& rows, int r,
+                                   int span) {
+    std::vector<Interval> common = rows[static_cast<size_t>(r)].free_segs;
+    for (int k = r + 1; k < r + span; ++k)
+        common = intersect(common, rows[static_cast<size_t>(k)].free_segs);
+    return common;
 }
 
 /// Repack an entire row left-justified (preserving the cells' x order) to
@@ -156,37 +185,50 @@ LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg) {
             rows[i].free_width += iv.length();
     }
 
+    // Cells taller than a row go first, in x order: each needs one x that
+    // is free in every row it spans. The rest follow in x order.
     std::vector<int> order = d.movable_cells();
     std::sort(order.begin(), order.end(), [&](int a, int b) {
         return d.cells[static_cast<size_t>(a)].pos.x <
                d.cells[static_cast<size_t>(b)].pos.x;
     });
+    std::stable_partition(order.begin(), order.end(), [&](int ci) {
+        return spanned_rows(d.cells[static_cast<size_t>(ci)], d.row_height) >
+               1;
+    });
 
     const int nrows = static_cast<int>(rows.size());
     for (int ci : order) {
         Cell& c = d.cells[static_cast<size_t>(ci)];
+        const int span = spanned_rows(c, d.row_height);
         const double want_lx = c.pos.x - c.width / 2.0;
         const double want_y = c.pos.y - c.height / 2.0;
         int best_row = -1;
         double best_x = 0.0;
         double best_cost = std::numeric_limits<double>::max();
 
+        // Candidate bottom rows are those with `span` rows at and above.
+        const int last_bottom = nrows - span;
         const int r0 = std::clamp(
             static_cast<int>(std::floor((want_y - d.region.ly) /
                                         d.row_height)),
-            0, nrows - 1);
+            0, std::max(last_bottom, 0));
         // Search rows outward from the desired one; once a fit exists,
         // finish the configured radius before committing.
-        for (int radius = 0; radius < nrows; ++radius) {
+        for (int radius = 0; radius <= last_bottom; ++radius) {
             bool any_candidate = false;
             for (int sgn = -1; sgn <= 1; sgn += 2) {
                 const int r = r0 + sgn * radius;
                 if (radius == 0 && sgn == 1) continue;
-                if (r < 0 || r >= nrows) continue;
+                if (r < 0 || r > last_bottom) continue;
                 any_candidate = true;
-                const double x = find_slot(rows[static_cast<size_t>(r)],
-                                           want_lx, c.width, d.site_width,
-                                           d.region.lx);
+                const double x =
+                    span == 1
+                        ? find_slot(rows[static_cast<size_t>(r)].free_segs,
+                                    want_lx, c.width, d.site_width,
+                                    d.region.lx)
+                        : find_slot(stacked_free(rows, r, span), want_lx,
+                                    c.width, d.site_width, d.region.lx);
                 if (x < 0.0) continue;
                 const double dy =
                     std::abs(rows[static_cast<size_t>(r)].y - want_y);
@@ -203,15 +245,36 @@ LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg) {
         }
 
         if (best_row < 0) {
-            failed.push_back(ci);
+            // The repack fallback below works one row at a time, so a cell
+            // taller than a row that fits nowhere stays unplaced.
+            if (span == 1)
+                failed.push_back(ci);
+            else
+                ++stats.cells_failed;
             continue;
         }
         RowState& r = rows[static_cast<size_t>(best_row)];
         const Vec2 old = c.pos;
         c.pos = {best_x + c.width / 2.0, r.y + c.height / 2.0};
-        consume(r, best_x, c.width);
-        r.placed.push_back(ci);
-        r.free_width -= c.width;
+        if (span == 1) {
+            consume(r, best_x, c.width);
+            r.placed.push_back(ci);
+            r.free_width -= c.width;
+        } else {
+            // A blockage in every row it spans, for later placements and
+            // for the repack fallback alike.
+            const Interval cut{best_x, best_x + c.width};
+            for (int k = best_row; k < best_row + span; ++k) {
+                RowState& rk = rows[static_cast<size_t>(k)];
+                consume(rk, best_x, c.width);
+                rk.free_width -= c.width;
+                std::vector<Interval> segs;
+                for (const Interval& seg : rk.all_segs)
+                    for (const Interval& p : subtract_intervals(seg, {cut}))
+                        segs.push_back(p);
+                rk.all_segs = std::move(segs);
+            }
+        }
         ++stats.cells_placed;
         const double disp = (c.pos - old).norm1();
         stats.total_displacement += disp;

@@ -27,8 +27,10 @@ struct LegalizeStats {
     double max_displacement = 0.0;
 };
 
-/// Legalize all movable cells of `d` in place. Cell heights must equal the
-/// row height (single-row standard cells). Returns displacement statistics.
+/// Legalize all movable cells of `d` in place. A cell taller than a row is
+/// placed first, at an x that is free in every row it spans, and counted
+/// in `cells_failed` (left where it was) when no such x exists. Returns
+/// displacement statistics.
 LegalizeStats tetris_legalize(Design& d, const TetrisConfig& cfg = {});
 
 /// The first legality violation of the movable cells, as a message naming

@@ -34,7 +34,9 @@ namespace {
 /// Design + curated-config fingerprint stored in every durable snapshot
 /// (DESIGN.md §16): a checkpoint must never resume a different design,
 /// seed, or schedule — any of those silently breaks the bitwise-identity
-/// contract of a resumed run.
+/// contract of a resumed run. The whole in-loop router config and the
+/// net-moving config are part of it: a journal written with a different
+/// maze fallback or RRR round count is refused, not resumed.
 uint64_t durable_fingerprint(const Design& d, const PlacerConfig& cfg) {
     std::ostringstream ss;
     write_design(d, ss);
@@ -53,8 +55,10 @@ uint64_t durable_fingerprint(const Design& d, const PlacerConfig& cfg) {
        << cfg.static_pg_weight << "|bbox=" << cfg.use_bbox_dc_model
        << "|rudy=" << cfg.use_rudy_congestion
        << "|padp=" << cfg.enable_pin_access_dp
-       << "|nm=" << cfg.netmove.multi_pin_congestion_threshold
-       << "|seed=" << cfg.seed;
+       << "|seed=" << cfg.seed << "|";
+    write_fingerprint(ss, cfg.router);
+    ss << "|";
+    write_fingerprint(ss, cfg.netmove);
     const std::string text = ss.str();
     return recover::fnv1a64(text.data(), text.size());
 }

@@ -86,7 +86,15 @@ struct PlacerConfig {
     /// multiple of ||grad W||_1 / ||grad D||_1 (the stage-1 schedule has
     /// grown it far past what a converged placement needs).
     double route_lambda1_boost = 0.5;
-    RouterConfig router;
+    /// The in-loop congestion router is pattern-only — L/Z routes plus
+    /// history-cost rip-up-and-reroute, like the paper's estimator — so the
+    /// maze fallback is off here. The evaluation router (EvalConfig) keeps
+    /// it on.
+    RouterConfig router = [] {
+        RouterConfig rc;
+        rc.maze_fallback = false;
+        return rc;
+    }();
     NetMovingConfig netmove;
     /// Congestion gradient model for the DC term: false = the paper's net
     /// moving (default), true = the prior bounding-box penalty [2]

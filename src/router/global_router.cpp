@@ -6,12 +6,26 @@
 #include <cstdint>
 #include <cstring>
 #include <numeric>
+#include <ostream>
 
 #include "audit/invariant_audit.hpp"
 #include "router/net_decompose.hpp"
 #include "util/parallel.hpp"
 
 namespace rdp {
+
+void write_fingerprint(std::ostream& os, const RouterConfig& c) {
+    os << "layers=";
+    for (const LayerSpec& l : c.layers)
+        os << static_cast<int>(l.dir) << ":" << l.capacity << ",";
+    os << "|route=" << c.track_pitch << ":" << c.pin_blockage << ":"
+       << c.pg_blockage_frac << ":" << c.routing_blockage_frac << ":"
+       << c.via_demand_weight << ":" << c.min_capacity
+       << "|rrr=" << c.rrr_rounds << ":" << c.maze_fallback << ":"
+       << c.max_bend_candidates << ":" << c.history_increment << ":"
+       << c.overflow_penalty << "|";
+    write_fingerprint(os, c.maze);
+}
 
 GlobalRouter::GlobalRouter(BinGrid grid, RouterConfig cfg)
     : grid_(grid), cfg_(std::move(cfg)) {

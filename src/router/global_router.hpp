@@ -17,6 +17,7 @@
 // route(d, &state) reconciles a persistent IncrementalRouteState instead
 // of rebuilding phase A, and is bitwise identical to route(d).
 
+#include <iosfwd>
 #include <vector>
 
 #include "db/design.hpp"
@@ -58,7 +59,9 @@ struct RouterConfig {
     /// During RRR, escalate connections that still overflow after the
     /// pattern reroute to a windowed maze search: an exact A* (column/row
     /// cost-minimum lower bound) that returns the canonical Dijkstra path,
-    /// ties broken by (cost, dir, y, x); see router/maze_route.hpp.
+    /// ties broken by (cost, dir, y, x); see router/maze_route.hpp. The
+    /// placer's in-loop router runs with it off (PlacerConfig::router);
+    /// the evaluation router runs with it on (EvalConfig::router).
     bool maze_fallback = true;
     MazeConfig maze;
     /// Z-shape bend candidates sampled per direction.
@@ -71,6 +74,11 @@ struct RouterConfig {
     /// and infinitely expensive cells).
     double min_capacity = 0.5;
 };
+
+/// Write every field of `c` to `os`, at the stream's precision, for the
+/// durable-checkpoint fingerprint (DESIGN.md §16). A new field is added
+/// here too.
+void write_fingerprint(std::ostream& os, const RouterConfig& c);
 
 struct RouteResult {
     CongestionMap congestion;  ///< Dmd (wire+via) vs Cap, Eq. (3) source

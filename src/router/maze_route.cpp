@@ -3,9 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 namespace rdp {
+
+void write_fingerprint(std::ostream& os, const MazeConfig& c) {
+    os << "maze=" << c.window_margin;
+}
 
 namespace {
 

@@ -25,6 +25,8 @@
 //    Every term is shrunk by a relative 1e-6 so floating-point rounding
 //    cannot make the bound inconsistent.
 
+#include <iosfwd>
+
 #include "router/pattern_route.hpp"
 #include "util/geometry.hpp"
 
@@ -35,6 +37,11 @@ struct MazeConfig {
     /// negative margin is treated as 0 (the window is the bounding box).
     int window_margin = 8;
 };
+
+/// Write every field of `c` to `os`, at the stream's precision, for the
+/// durable-checkpoint fingerprint (DESIGN.md §16). A new field is added
+/// here too.
+void write_fingerprint(std::ostream& os, const MazeConfig& c);
 
 /// Shortest path from (x0,y0) to (x1,y1) under the cost model, restricted
 /// to the window (see the file comment for the tie rule). Cell costs must

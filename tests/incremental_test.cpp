@@ -12,6 +12,8 @@
 
 #include "benchgen/generator.hpp"
 #include "congestion/rudy.hpp"
+#include "eval/route_metrics.hpp"
+#include "place/global_placer.hpp"
 #include "router/global_router.hpp"
 #include "util/check.hpp"
 #include "util/parallel.hpp"
@@ -48,6 +50,16 @@ void perturb(Design& d, Rng& rng, int count, double frac) {
     }
 }
 
+/// The router configurations the flow runs: the placer's pattern-only
+/// in-loop router and the evaluation router with the maze fallback.
+struct NamedRouterConfig {
+    const char* name;
+    RouterConfig cfg;
+};
+std::vector<NamedRouterConfig> flow_router_configs() {
+    return {{"placer", PlacerConfig{}.router}, {"eval", EvalConfig{}.router}};
+}
+
 /// Bitwise comparison of everything a RouteResult reports (the inc_*
 /// reconciliation counters excepted — those describe the cache, not the
 /// routing).
@@ -67,26 +79,29 @@ void expect_same_routing(const RouteResult& a, const RouteResult& b) {
 }
 
 TEST(IncrementalRouteTest, MatchesFullRouteAcrossPerturbations) {
-    Design d = small_design();
-    const BinGrid grid(d.region, 32, 32);
-    const GlobalRouter router(grid);
-    IncrementalRouteState state;
-    state.rebuild_epoch = 0;  // exercise the cache on every call
+    for (const NamedRouterConfig& rc : flow_router_configs()) {
+        SCOPED_TRACE(rc.name);
+        Design d = small_design();
+        const BinGrid grid(d.region, 32, 32);
+        const GlobalRouter router(grid, rc.cfg);
+        IncrementalRouteState state;
+        state.rebuild_epoch = 0;  // exercise the cache on every call
 
-    Rng rng(21);
-    for (int step = 0; step < 6; ++step) {
-        if (step > 0) perturb(d, rng, 8, 0.05);
-        const RouteResult inc = router.route(d, &state);
-        const RouteResult full = router.route(d);
-        expect_same_routing(inc, full);
-        EXPECT_EQ(inc.inc_full_rebuild, step == 0);
-        if (step > 0) {
-            // A handful of moved cells must not invalidate everything.
-            EXPECT_LT(inc.inc_conns_rerouted, inc.inc_conns_total);
+        Rng rng(21);
+        for (int step = 0; step < 6; ++step) {
+            if (step > 0) perturb(d, rng, 8, 0.05);
+            const RouteResult inc = router.route(d, &state);
+            const RouteResult full = router.route(d);
+            expect_same_routing(inc, full);
+            EXPECT_EQ(inc.inc_full_rebuild, step == 0);
+            if (step > 0) {
+                // A handful of moved cells must not invalidate everything.
+                EXPECT_LT(inc.inc_conns_rerouted, inc.inc_conns_total);
+            }
         }
+        EXPECT_EQ(state.stats.full_rebuilds, 1);
+        EXPECT_GT(state.stats.cache_hits, 0);
     }
-    EXPECT_EQ(state.stats.full_rebuilds, 1);
-    EXPECT_GT(state.stats.cache_hits, 0);
 }
 
 TEST(IncrementalRouteTest, UnchangedPlacementReroutesNothing) {
@@ -181,25 +196,28 @@ TEST(IncrementalRouteTest, ThreadCountInvariant) {
     // The whole perturbation sequence, replayed per thread count, must
     // yield bitwise-identical demand maps and scalar metrics.
     const int saved = par::max_threads();
-    auto run_sequence = [&] {
-        Design d = small_design();
-        const BinGrid grid(d.region, 32, 32);
-        const GlobalRouter router(grid);
-        IncrementalRouteState state;
-        state.rebuild_epoch = 3;
-        Rng rng(55);
-        RouteResult last;
-        for (int step = 0; step < 5; ++step) {
-            if (step > 0) perturb(d, rng, 10, 0.08);
-            last = router.route(d, &state);
+    for (const NamedRouterConfig& rc : flow_router_configs()) {
+        SCOPED_TRACE(rc.name);
+        auto run_sequence = [&] {
+            Design d = small_design();
+            const BinGrid grid(d.region, 32, 32);
+            const GlobalRouter router(grid, rc.cfg);
+            IncrementalRouteState state;
+            state.rebuild_epoch = 3;
+            Rng rng(55);
+            RouteResult last;
+            for (int step = 0; step < 5; ++step) {
+                if (step > 0) perturb(d, rng, 10, 0.08);
+                last = router.route(d, &state);
+            }
+            return last;
+        };
+        par::set_max_threads(1);
+        const RouteResult base = run_sequence();
+        for (int t : {2, 8}) {
+            par::set_max_threads(t);
+            expect_same_routing(run_sequence(), base);
         }
-        return last;
-    };
-    par::set_max_threads(1);
-    const RouteResult base = run_sequence();
-    for (int t : {2, 8}) {
-        par::set_max_threads(t);
-        expect_same_routing(run_sequence(), base);
     }
     par::set_max_threads(saved);
 }

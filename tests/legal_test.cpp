@@ -126,6 +126,70 @@ TEST(IsLegalTest, DetectsOverlapWithCellTallerThanARow) {
     EXPECT_TRUE(is_legal(d));
 }
 
+TEST(TetrisTest, CellTallerThanARowComesOutLegal) {
+    // A 4x16 cell among six 4x8 cells on a 40x32 die with 8-high rows: the
+    // tall cell needs one x free in both rows it spans, and Abacus and
+    // detailed placement must route around it.
+    Design d = rows_design(40, 32);
+    const int tall = d.add_cell("tall", 4, 16, CellKind::Movable, {10, 8});
+    for (int i = 0; i < 6; ++i)
+        d.add_cell("s" + std::to_string(i), 4, 8, CellKind::Movable,
+                   {9.0 + i, i % 2 == 0 ? 12.0 : 4.0});
+    std::vector<Vec2> desired;
+    for (const Cell& c : d.cells) desired.push_back(c.pos);
+    const LegalizeStats st = tetris_legalize(d);
+    EXPECT_EQ(st.cells_failed, 0);
+    EXPECT_EQ(st.cells_placed, 7);
+    ASSERT_FALSE(legality_violation(d).has_value())
+        << *legality_violation(d);
+    const Vec2 tall_pos = d.cells[static_cast<size_t>(tall)].pos;
+
+    abacus_refine(d, desired);
+    EXPECT_FALSE(legality_violation(d).has_value())
+        << *legality_violation(d);
+    detailed_place(d);
+    EXPECT_FALSE(legality_violation(d).has_value())
+        << *legality_violation(d);
+    EXPECT_EQ(d.cells[static_cast<size_t>(tall)].pos, tall_pos);
+}
+
+TEST(TetrisTest, CellTallerThanARowWithNoRoomIsCountedFailed) {
+    // Row 1 is fully blocked, so no x is free in two stacked rows; the
+    // single-row cell still finds row 0.
+    Design d = rows_design(16, 16);
+    d.add_cell("wall", 16, 8, CellKind::Fixed, {8, 12});
+    d.add_cell("tall", 4, 16, CellKind::Movable, {6, 8});
+    d.add_cell("short", 4, 8, CellKind::Movable, {6, 4});
+    const LegalizeStats st = tetris_legalize(d);
+    EXPECT_EQ(st.cells_failed, 1);
+    EXPECT_EQ(st.cells_placed, 1);
+}
+
+TEST(TetrisTest, MixedHeightDesignsStayLegalThroughRefinement) {
+    // Every 20th standard cell of a generated design made two or three
+    // rows tall: Tetris, Abacus and detailed placement must all keep the
+    // placement legal.
+    for (uint64_t seed : {31u, 32u, 33u}) {
+        Design d = random_design(400, 0.6, seed, 2);
+        int k = 0;
+        for (Cell& c : d.cells)
+            if (c.movable() && k++ % 20 == 0)
+                c.height = d.row_height * (k % 40 == 1 ? 3.0 : 2.0);
+        std::vector<Vec2> desired;
+        for (const Cell& c : d.cells) desired.push_back(c.pos);
+        const LegalizeStats st = tetris_legalize(d);
+        EXPECT_EQ(st.cells_failed, 0) << "seed " << seed;
+        ASSERT_FALSE(legality_violation(d).has_value())
+            << "seed " << seed << ": " << *legality_violation(d);
+        abacus_refine(d, desired);
+        ASSERT_FALSE(legality_violation(d).has_value())
+            << "seed " << seed << ": " << *legality_violation(d);
+        detailed_place(d);
+        EXPECT_FALSE(legality_violation(d).has_value())
+            << "seed " << seed << ": " << *legality_violation(d);
+    }
+}
+
 TEST(IsLegalTest, CellWithinAlignmentToleranceStaysInItsRow) {
     // 5e-4 above row 0 is inside the row-alignment tolerance (1e-4 rows):
     // the cell counts as a row-0 cell and does not meet the row-1 cell.

@@ -167,15 +167,22 @@ TEST(KernelDeterminismTest, PoissonSolve) {
 }
 
 TEST(KernelDeterminismTest, GlobalRouter) {
+    // Both router configurations the flow runs: the placer's pattern-only
+    // in-loop router and the evaluation router with the maze fallback.
     const Design d = test_design(900, 5);
     const BinGrid grid(d.region, 32, 32);
-    const GlobalRouter router(grid);
-    expect_thread_invariant([&] {
-        const RouteResult r = router.route(d);
-        return std::make_tuple(r.wirelength_dbu, r.total_overflow,
-                               r.num_vias, r.demand_h.raw(), r.demand_v.raw(),
-                               r.bend_vias.raw(), r.pin_vias.raw());
-    });
+    for (const RouterConfig& rc :
+         {PlacerConfig{}.router, EvalConfig{}.router}) {
+        SCOPED_TRACE(rc.maze_fallback ? "eval" : "placer");
+        const GlobalRouter router(grid, rc);
+        expect_thread_invariant([&] {
+            const RouteResult r = router.route(d);
+            return std::make_tuple(r.wirelength_dbu, r.total_overflow,
+                                   r.num_vias, r.demand_h.raw(),
+                                   r.demand_v.raw(), r.bend_vias.raw(),
+                                   r.pin_vias.raw());
+        });
+    }
 }
 
 TEST(KernelDeterminismTest, NetMovingGradient) {

@@ -529,6 +529,51 @@ TEST(PersistResume, ResumedPlaceResultEqualsUninterrupted) {
     }
 }
 
+TEST(PersistResume, JournalFromAnotherRouterConfigIsRefused) {
+    // The in-loop router config is part of the fingerprint: a journal
+    // written with the maze fallback on (the in-loop default before the
+    // router went pattern-only), or with another RRR round count, must be
+    // refused rather than resumed under the current config.
+    GeneratorConfig gen;
+    gen.name = "persist-router-config";
+    gen.seed = 29;
+    gen.num_cells = 120;
+    gen.num_ios = 6;
+    const Design input = generate_circuit(gen);
+    PlacerConfig base;
+    base.grid_bins = 16;
+    base.seed = 3;
+    base.max_wl_iters = 30;
+    base.max_route_iters = 2;
+    base.inner_iters = 4;
+    base.durable.every = 10;
+    struct Variant {
+        const char* name;
+        void (*apply)(RouterConfig&);
+    };
+    const Variant variants[] = {
+        {"maze_fallback", [](RouterConfig& rc) { rc.maze_fallback = true; }},
+        {"rrr_rounds", [](RouterConfig& rc) { ++rc.rrr_rounds; }},
+    };
+    for (const Variant& v : variants) {
+        SCOPED_TRACE(v.name);
+        PlacerConfig writer = base;
+        v.apply(writer.router);
+        writer.durable.dir = fresh_dir(std::string("router_") + v.name);
+        (void)GlobalPlacer(writer).place(input);
+
+        PlacerConfig reader = base;
+        reader.durable.dir = writer.durable.dir;
+        reader.durable.resume = "auto";
+        testing::internal::CaptureStderr();
+        (void)GlobalPlacer(reader).place(input);
+        const std::string log = testing::internal::GetCapturedStderr();
+        EXPECT_NE(log.find("fingerprint mismatch"), std::string::npos)
+            << log;
+        EXPECT_EQ(log.find("resuming from"), std::string::npos) << log;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Kill-point harness plumbing
 // ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "benchgen/generator.hpp"
+#include "eval/route_metrics.hpp"
+#include "place/global_placer.hpp"
 #include "router/global_router.hpp"
 #include "router/layer_assign.hpp"
 #include "router/maze_route.hpp"
@@ -507,6 +509,15 @@ TEST(GlobalRouterTest, MazeFallbackReducesOverflow) {
     // pattern-only result (and usually below). Guard against regressions.
     EXPECT_LE(a.total_overflow, b.total_overflow * 1.01 + 1e-9);
     EXPECT_LE(a.wirelength_dbu, b.wirelength_dbu * 1.05);
+}
+
+TEST(GlobalRouterTest, PlacerRoutesPatternOnlyEvaluationKeepsMaze) {
+    // The congestion estimate inside the placement loop is pattern-only
+    // (L/Z plus history-cost RRR), like the paper's estimator; the
+    // evaluation route keeps the maze fallback for DRWL/#vias/#DRVs.
+    EXPECT_FALSE(PlacerConfig{}.router.maze_fallback);
+    EXPECT_TRUE(EvalConfig{}.router.maze_fallback);
+    EXPECT_TRUE(RouterConfig{}.maze_fallback);
 }
 
 Design routed_design(int cells, uint64_t seed) {
