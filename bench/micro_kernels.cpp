@@ -422,6 +422,53 @@ void BM_MazeRoute(benchmark::State& state) {
 }
 BENCHMARK(BM_MazeRoute)->Unit(benchmark::kMicrosecond);
 
+void BM_MazeRouteLongWindow(benchmark::State& state) {
+    // The evaluation RRR's costliest maze calls: long connections whose
+    // windows cover thousands of G-cells of history-shaped costs. A 128x128
+    // map (base 1 plus history in [0, 2), history spikes of 50-500 on 3% of
+    // cells) has two congested vertical bands, three G-cells wide and open
+    // only at two gaps each; 32 connections span 60-110 columns across them
+    // (default margin 8: windows of 1.5k-12k G-cells). One iteration
+    // routes all of them.
+    const int n = 128;
+    GridF ch(n, n), cv(n, n);
+    Rng rng(77);
+    for (GridF* g : {&ch, &cv}) {
+        for (double& v : *g) {
+            v = 1.0 + rng.uniform(0.0, 2.0);
+            if (rng.uniform(0.0, 1.0) < 0.03) v += rng.uniform(50.0, 500.0);
+        }
+    }
+    for (const int bx : {42, 84}) {
+        const int gap1 = rng.uniform_int(10, 50), gap2 = rng.uniform_int(70, 110);
+        for (int x = bx; x < bx + 3; ++x) {
+            for (int y = 0; y < n; ++y) {
+                if ((y >= gap1 && y < gap1 + 4) || (y >= gap2 && y < gap2 + 4))
+                    continue;
+                ch.at(x, y) += 40.0;
+                cv.at(x, y) += 40.0;
+            }
+        }
+    }
+    const RouteCostModel model{&ch, &cv, 1.0};
+    std::vector<std::array<int, 4>> conns(32);
+    for (auto& c : conns) {
+        const int x0 = rng.uniform_int(2, 30);
+        c = {x0, rng.uniform_int(4, 123),
+             std::min(x0 + rng.uniform_int(60, 110), n - 3),
+             rng.uniform_int(4, 123)};
+    }
+    for (auto _ : state) {
+        for (const auto& c : conns) {
+            RoutePath p = maze_route(c[0], c[1], c[2], c[3], model);
+            benchmark::DoNotOptimize(p.segs.data());
+        }
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(conns.size()));
+}
+BENCHMARK(BM_MazeRouteLongWindow)->Unit(benchmark::kMicrosecond);
+
 void BM_NetMovingGradient(benchmark::State& state) {
     const Design d = bench_design(static_cast<int>(state.range(0)));
     const BinGrid grid(d.region, 64, 64);

@@ -18,9 +18,17 @@
 //
 // With no arguments, generates a demo design, saves it to
 // /tmp/rdplace_demo.txt, and runs on that file.
+//
+// Exit status: 0 on success; 2 for a bad command line (an unknown mode or
+// argument, a numeric flag value that does not parse in full or is out of
+// range); 1 for an unreadable or invalid design, or for any failure in
+// placement, evaluation or writing the output, running out of memory
+// included.
 
 #include <cstring>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 
 #include "benchgen/generator.hpp"
@@ -30,9 +38,38 @@
 #include "fft/fft.hpp"
 #include "place/global_placer.hpp"
 
-int main(int argc, char** argv) {
-    using namespace rdp;
+namespace {
 
+using namespace rdp;
+
+/// A bad command line: main reports it and exits with status 2.
+struct UsageError : std::runtime_error {
+    using std::runtime_error::runtime_error;
+};
+
+/// The value of `flag`, parsed by `parse` (std::stoi and friends), which
+/// must consume all of `text`: "--bins=12x" is refused, not read as 12.
+template <class Parse>
+auto flag_value(const std::string& flag, const std::string& text,
+                Parse parse) {
+    size_t used = 0;
+    try {
+        const auto v = parse(text, &used);
+        if (used == text.size()) return v;
+    } catch (const std::logic_error&) {  // invalid_argument, out_of_range
+    }
+    std::string msg = "bad value '";
+    msg.append(text).append("' for ").append(flag);
+    throw UsageError(msg);
+}
+
+int int_flag(const std::string& flag, const std::string& text) {
+    return flag_value(flag, text, [](const std::string& t, size_t* n) {
+        return std::stoi(t, n);
+    });
+}
+
+int run(int argc, char** argv) {
     std::string input_path;
     std::string output_path;
     PlacerConfig cfg;
@@ -52,9 +89,13 @@ int main(int argc, char** argv) {
                 return 2;
             }
         } else if (arg.rfind("--bins=", 0) == 0) {
-            bins = std::stoi(arg.substr(7));
+            bins = int_flag("--bins", arg.substr(7));
+            if (bins < 0) throw UsageError("--bins must not be negative");
         } else if (arg.rfind("--seed=", 0) == 0) {
-            cfg.seed = std::stoull(arg.substr(7));
+            cfg.seed = flag_value("--seed", arg.substr(7),
+                                  [](const std::string& t, size_t* n) {
+                                      return std::stoull(t, n);
+                                  });
         } else if (arg == "--no-mci") {
             cfg.enable_mci = false;
         } else if (arg == "--no-dc") {
@@ -64,21 +105,25 @@ int main(int argc, char** argv) {
         } else if (arg == "--multi-pin-moving") {
             cfg.netmove.move_multi_pin_edges = true;  // paper extension
         } else if (arg.rfind("--budget-ms=", 0) == 0) {
-            cfg.recover.stage_budget_ms = std::stod(arg.substr(12));
+            cfg.recover.stage_budget_ms =
+                flag_value("--budget-ms", arg.substr(12),
+                           [](const std::string& t, size_t* n) {
+                               return std::stod(t, n);
+                           });
         } else if (arg == "--no-recover") {
             cfg.recover.enabled = false;
         } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
             cfg.durable.dir = arg.substr(17);
         } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-            cfg.durable.every = std::stoi(arg.substr(19));
+            cfg.durable.every = int_flag("--checkpoint-every", arg.substr(19));
         } else if (arg == "--resume" || arg.rfind("--resume=", 0) == 0) {
             cfg.durable.resume = arg.size() > 9 ? arg.substr(9) : "auto";
         } else if (arg.rfind("--wl-iters=", 0) == 0) {
-            cfg.max_wl_iters = std::stoi(arg.substr(11));
+            cfg.max_wl_iters = int_flag("--wl-iters", arg.substr(11));
         } else if (arg.rfind("--route-iters=", 0) == 0) {
-            cfg.max_route_iters = std::stoi(arg.substr(14));
+            cfg.max_route_iters = int_flag("--route-iters", arg.substr(14));
         } else if (arg.rfind("--inner-iters=", 0) == 0) {
-            cfg.inner_iters = std::stoi(arg.substr(14));
+            cfg.inner_iters = int_flag("--inner-iters", arg.substr(14));
         } else if (arg == "--no-eval") {
             run_eval = false;
         } else if (input_path.empty()) {
@@ -160,4 +205,19 @@ int main(int argc, char** argv) {
     write_design_file(res.placed, output_path);
     std::cout << "wrote placed design to " << output_path << "\n";
     return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+    // Every failure ends in a diagnostic, never in std::terminate.
+    try {
+        return run(argc, argv);
+    } catch (const UsageError& e) {
+        std::cerr << e.what() << "\n";
+        return 2;
+    } catch (const std::exception& e) {  // std::bad_alloc included
+        std::cerr << "place_file failed: " << e.what() << "\n";
+        return 1;
+    }
 }

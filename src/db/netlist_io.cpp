@@ -1,5 +1,6 @@
 #include "db/netlist_io.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -24,6 +25,14 @@ const char* kind_tag(CellKind k) {
         case CellKind::Macro: return "mac";
     }
     return "mov";
+}
+
+/// A row or site count for a diagnostic: exact while it fits an integer.
+std::string count_text(double n) {
+    if (n < 1e18) return std::to_string(static_cast<long long>(n));
+    std::ostringstream os;
+    os << n;
+    return os.str();
 }
 
 CellKind parse_kind(const std::string& s, int line) {
@@ -81,6 +90,8 @@ Design read_design(std::istream& is) {
     Design d;
     std::string line;
     int line_no = 0;
+    // Lines of the directives the size limits read (0 = not given).
+    int region_line = 0, rowheight_line = 0, sitewidth_line = 0;
     auto fail = [&](const std::string& msg) {
         throw ParseError(line_no, msg);
     };
@@ -105,14 +116,17 @@ Design read_design(std::istream& is) {
             finite(d.region.hy, "region coordinate");
             if (d.region.hx <= d.region.lx || d.region.hy <= d.region.ly)
                 fail("region has non-positive extent");
+            region_line = line_no;
         } else if (tok == "rowheight") {
             if (!(ss >> d.row_height)) fail("bad rowheight");
             if (!std::isfinite(d.row_height) || d.row_height <= 0.0)
                 fail("rowheight must be finite and positive");
+            rowheight_line = line_no;
         } else if (tok == "sitewidth") {
             if (!(ss >> d.site_width)) fail("bad sitewidth");
             if (!std::isfinite(d.site_width) || d.site_width <= 0.0)
                 fail("sitewidth must be finite and positive");
+            sitewidth_line = line_no;
         } else if (tok == "cell") {
             std::string nm, kind;
             double w, h, cx, cy;
@@ -173,6 +187,19 @@ Design read_design(std::istream& is) {
             fail("unknown directive '" + tok + "'");
         }
     }
+    // Size limits, checked against the line that completed the size.
+    const double rows = std::floor(d.region.height() / d.row_height);
+    if (rows > kMaxRows)
+        throw ParseError(std::max(region_line, rowheight_line),
+                         "region holds " + count_text(rows) +
+                             " rows, over the limit of " +
+                             std::to_string(kMaxRows));
+    const double sites = std::floor(d.region.width() / d.site_width);
+    if (sites > kMaxSitesPerRow)
+        throw ParseError(std::max(region_line, sitewidth_line),
+                         "region holds " + count_text(sites) +
+                             " sites per row, over the limit of " +
+                             std::to_string(kMaxSitesPerRow));
     d.build_rows();
     return d;
 }

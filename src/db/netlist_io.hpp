@@ -38,13 +38,22 @@ private:
     std::string reason_;
 };
 
+/// Largest design read_design accepts. A region with more than kMaxRows
+/// rows (region height / rowheight) or more than kMaxSitesPerRow sites per
+/// row (region width / sitewidth) is refused at parse time, before any
+/// per-row structure is sized by it. Both caps are far above any real die
+/// (a 20 mm die with 0.2 um rows has 1e5 rows).
+inline constexpr int kMaxRows = 1 << 20;
+inline constexpr int kMaxSitesPerRow = 1 << 24;
+
 void write_design(const Design& d, std::ostream& os);
 void write_design_file(const Design& d, const std::string& path);
 
 /// Parses a design; throws ParseError naming the offending line on any
 /// malformed input: unknown directives, missing or trailing fields,
 /// non-finite numbers, non-positive dimensions, inverted regions,
-/// out-of-range cell/pin indices, and doubly-connected pins.
+/// out-of-range cell/pin indices, doubly-connected pins, and regions over
+/// kMaxRows rows or kMaxSitesPerRow sites per row.
 Design read_design(std::istream& is);
 Design read_design_file(const std::string& path);
 

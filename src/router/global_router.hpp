@@ -57,9 +57,11 @@ struct RouterConfig {
     /// Rip-up-and-reroute rounds after the initial routing pass.
     int rrr_rounds = 2;
     /// During RRR, escalate connections that still overflow after the
-    /// pattern reroute to a windowed maze search: an exact A* (column/row
-    /// cost-minimum lower bound) that returns the canonical Dijkstra path,
-    /// ties broken by (cost, dir, y, x); see router/maze_route.hpp. The
+    /// pattern reroute to a windowed maze search: an exact A* (lower bound:
+    /// the exact distance to the goal in a relaxed graph whose cross-axis
+    /// steps cost their line's window minimum) that returns the canonical
+    /// Dijkstra path, ties broken by (cost, dir, y, x); see
+    /// router/maze_route.hpp. The
     /// placer's in-loop router runs with it off (PlacerConfig::router);
     /// the evaluation router runs with it on (EvalConfig::router).
     bool maze_fallback = true;

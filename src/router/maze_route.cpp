@@ -1,7 +1,9 @@
 #include "router/maze_route.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <ostream>
 #include <vector>
@@ -14,8 +16,8 @@ void write_fingerprint(std::ostream& os, const MazeConfig& c) {
 
 namespace {
 
-/// Relative shrink of every lower-bound term, so that rounding in the
-/// bound or in f = g + h can never make the bound inconsistent.
+/// Relative shrink of the lower bound, so that rounding in the bound or in
+/// f = g + h can never make it inconsistent.
 constexpr double kShrink = 1.0 - 1e-6;
 /// Distance of a state no relaxation has reached.
 constexpr double kUnreached = std::numeric_limits<double>::max();
@@ -42,6 +44,29 @@ struct Step {
     int dir;
 };
 
+/// Search window: the endpoints' bounding box grown by the margin (a
+/// negative margin would exclude them, so it counts as 0) and clipped to
+/// the grid, with the endpoints in window coordinates.
+struct Window {
+    int x0, y0, w, h;
+    int sx, sy, gx, gy;
+};
+
+Window window_of(int x0, int y0, int x1, int y1, const GridF& g,
+                 const MazeConfig& cfg) {
+    const int margin = std::max(cfg.window_margin, 0);
+    Window win;
+    win.x0 = std::max(std::min(x0, x1) - margin, 0);
+    win.y0 = std::max(std::min(y0, y1) - margin, 0);
+    win.w = std::min(std::max(x0, x1) + margin, g.width() - 1) - win.x0 + 1;
+    win.h = std::min(std::max(y0, y1) + margin, g.height() - 1) - win.y0 + 1;
+    win.sx = x0 - win.x0;
+    win.sy = y0 - win.y0;
+    win.gx = x1 - win.x0;
+    win.gy = y1 - win.y0;
+    return win;
+}
+
 /// Per-thread search buffers, grown to the largest window seen (at most
 /// two states per grid cell) and never shrunk. `mark` stamps the states of
 /// the current search: below `open` = unreached, `open` = reached,
@@ -52,13 +77,19 @@ struct MazeScratch {
     std::vector<uint32_t> mark;
     uint32_t open = 0;
     std::vector<QEntry> heap;
-    std::vector<double> hx, hy;  ///< per-column / per-row bound terms
     std::vector<Step> steps;
+    /// Unshrunk relaxed distance to the goal per state, stored line by
+    /// line across the exact axis: state (x, y, dir) of a w*h window is at
+    /// dir * w * h + x * bound_sx + y * bound_sy.
+    std::vector<double> bound;
+    int bound_sx = 0, bound_sy = 0;
+    std::vector<double> run, run_up, run_down;  ///< fill_bound's line buffers
 
     void begin(size_t states) {
         if (mark.size() < states) {
             mark.resize(states, 0);
             dist.resize(states);
+            bound.resize(states);
         }
         if (open >= std::numeric_limits<uint32_t>::max() - 2) {
             std::fill(mark.begin(), mark.end(), 0u);
@@ -67,27 +98,135 @@ struct MazeScratch {
         open += 2;
         heap.clear();
     }
+
+    /// The A* lower bound of state (x, y, dir), in window coordinates.
+    double h_of(int x, int y, int dir, size_t wh) const {
+        return kShrink *
+               bound[dir * wh + static_cast<size_t>(x * bound_sx + y * bound_sy)];
+    }
 };
 
-/// Turn per-line cost minima `v` into shrunk sums of the minima strictly
-/// between each line and `goal`, goal line included: v[i] becomes
-/// kShrink * sum(v[i+1..goal]) below the goal, kShrink * sum(v[goal..i-1])
-/// above it, and 0 at the goal. Each sum accumulates outward from the goal.
-void bound_sums(std::vector<double>& v, int goal) {
-    const int n = static_cast<int>(v.size());
-    for (const int step : {-1, 1}) {
-        double acc = 0.0;
-        double prev = v[static_cast<size_t>(goal)];
-        for (int i = goal + step; i >= 0 && i < n; i += step) {
-            acc += prev;
-            prev = v[static_cast<size_t>(i)];
-            v[static_cast<size_t>(i)] = acc * kShrink;
+/// Fill `s.bound` with each state's exact distance to the goal in the
+/// relaxed graph of the file comment. The lines across the exact axis are
+/// filled outward from the goal's line; each takes its exact-axis step
+/// toward the goal (cell cost plus the neighbour line's distance), then one
+/// 1D distance transform along the line: a cross-axis run pays the cross
+/// minima of the positions it enters, plus a via to turn onto or off it.
+void fill_bound(const RouteCostModel& m, const Window& win, MazeScratch& s) {
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    const int w = win.w, h = win.h;
+    const size_t wh = static_cast<size_t>(w) * static_cast<size_t>(h);
+    const double via = m.via_cost;
+    const bool along_x =
+        std::abs(win.gx - win.sx) >= std::abs(win.gy - win.sy);
+    const int lines = along_x ? w : h;  // lines across the exact axis
+    const int n = along_x ? h : w;      // states per line
+    const int ga = along_x ? win.gx : win.gy;
+    const int gc = along_x ? win.gy : win.gx;
+    const int along = along_x ? 0 : 1;  // entry dir of an exact-axis step
+
+    // Exact-axis cell cost of (line a, position c): exact[a * ea + c * ec].
+    const GridF& exact_grid = along_x ? *m.cost_h : *m.cost_v;
+    const double* exact = &exact_grid.at(win.x0, win.y0);
+    const ptrdiff_t ea = along_x ? 1 : exact_grid.width();
+    const ptrdiff_t ec = along_x ? exact_grid.width() : 1;
+
+    // Cross minima: the window minimum of the cross-axis cost per position
+    // (per row of cost_v, or per column of cost_h), read row by row; then
+    // their prefix sums run[k] = min[0] + ... + min[k - 1], so a run from
+    // position c up to b costs run[b + 1] - run[c + 1] and one down to b
+    // costs run[c] - run[b].
+    const GridF& cross_grid = along_x ? *m.cost_v : *m.cost_h;
+    s.run.assign(static_cast<size_t>(n) + 1, kInf);
+    double* run = s.run.data();
+    for (int ly = 0; ly < h; ++ly) {
+        const double* row = &cross_grid.at(win.x0, win.y0 + ly);
+        if (along_x) {
+            double mn = kInf;
+            for (int lx = 0; lx < w; ++lx) mn = std::min(mn, row[lx]);
+            run[ly + 1] = mn;
+        } else {
+            for (int lx = 0; lx < w; ++lx)
+                run[lx + 1] = std::min(run[lx + 1], row[lx]);
         }
     }
-    v[static_cast<size_t>(goal)] = 0.0;
+    run[0] = 0.0;
+    for (int k = 1; k <= n; ++k) run[k] += run[k - 1];
+
+    double* along_tab = s.bound.data() + static_cast<size_t>(along) * wh;
+    double* cross_tab = s.bound.data() + static_cast<size_t>(1 - along) * wh;
+    s.run_up.resize(static_cast<size_t>(n));
+    s.run_down.resize(static_cast<size_t>(n));
+    double* up = s.run_up.data();
+    double* down = s.run_down.data();
+    // Cross-entered states: the cheapest of leaving the line here (already
+    // in v), a run up and a run down; a run that reverses never helps. The
+    // two running minima are independent, so one loop carries both.
+    auto transform = [&](double* v) {
+        double best_up = kInf, best_down = kInf;
+        for (int i = 0, c = n - 1; i < n; ++i, --c) {
+            best_up = std::min(best_up, v[c] + run[c + 1]);
+            best_down = std::min(best_down, v[i] - run[i]);
+            up[c] = best_up;
+            down[i] = best_down;
+        }
+        for (int c = 0; c < n; ++c)
+            v[c] = std::min(up[c] - run[c + 1], down[c] + run[c]);
+    };
+
+    // The goal's line: a cross-axis run to the goal, plus a via for a
+    // state entered along the exact axis.
+    {
+        double* va = along_tab + static_cast<size_t>(ga) * n;
+        double* vc = cross_tab + static_cast<size_t>(ga) * n;
+        for (int c = 0; c < n; ++c) vc[c] = c == gc ? 0.0 : kInf;
+        transform(vc);
+        for (int c = 0; c < n; ++c) va[c] = c == gc ? 0.0 : vc[c] + via;
+    }
+    // Every other line steps toward the goal's line along the exact axis:
+    // within the relaxed graph the cross-axis costs do not depend on the
+    // line, so a path that steps away from the goal's line never helps.
+    auto fill_line = [&](int a, int toward) {
+        const double* next = along_tab + static_cast<size_t>(toward) * n;
+        const double* cost = exact + toward * ea;
+        double* va = along_tab + static_cast<size_t>(a) * n;
+        double* vc = cross_tab + static_cast<size_t>(a) * n;
+        for (int c = 0; c < n; ++c) {
+            va[c] = cost[c * ec] + next[c];
+            vc[c] = va[c] + via;
+        }
+        transform(vc);
+        for (int c = 0; c < n; ++c) va[c] = std::min(va[c], vc[c] + via);
+    };
+    for (int a = ga - 1; a >= 0; --a) fill_line(a, a + 1);
+    for (int a = ga + 1; a < lines; ++a) fill_line(a, a - 1);
+
+    s.bound_sx = along_x ? h : 1;
+    s.bound_sy = along_x ? 1 : w;
 }
 
 }  // namespace
+
+MazeBound maze_lower_bound(int x0, int y0, int x1, int y1,
+                           const RouteCostModel& m, const MazeConfig& cfg) {
+    const Window win = window_of(x0, y0, x1, y1, *m.cost_h, cfg);
+    const size_t wh = static_cast<size_t>(win.w) * static_cast<size_t>(win.h);
+    MazeScratch s;
+    s.begin(2 * wh);
+    fill_bound(m, win, s);
+    MazeBound out;
+    out.x0 = win.x0;
+    out.y0 = win.y0;
+    out.width = win.w;
+    out.height = win.h;
+    out.h.resize(2 * wh);
+    for (int dir = 0; dir < 2; ++dir)
+        for (int ly = 0; ly < win.h; ++ly)
+            for (int lx = 0; lx < win.w; ++lx)
+                out.h[dir * wh + static_cast<size_t>(ly * win.w + lx)] =
+                    s.h_of(lx, ly, dir, wh);
+    return out;
+}
 
 RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
                      const MazeConfig& cfg) {
@@ -95,18 +234,12 @@ RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
     const GridF& cv = *m.cost_v;
     const double via = m.via_cost;
 
-    // Window around the endpoints; a negative margin would exclude them.
-    const int margin = std::max(cfg.window_margin, 0);
-    const int wx0 = std::max(std::min(x0, x1) - margin, 0);
-    const int wy0 = std::max(std::min(y0, y1) - margin, 0);
-    const int wx1 = std::min(std::max(x0, x1) + margin, ch.width() - 1);
-    const int wy1 = std::min(std::max(y0, y1) + margin, ch.height() - 1);
-    const int w = wx1 - wx0 + 1;
-    const int h = wy1 - wy0 + 1;
+    const Window win = window_of(x0, y0, x1, y1, ch, cfg);
+    const int wx0 = win.x0, wy0 = win.y0;
+    const int w = win.w, h = win.h;
     const int wh = w * h;
-    // Endpoints in window coordinates.
-    const int sx = x0 - wx0, sy = y0 - wy0;
-    const int gx = x1 - wx0, gy = y1 - wy0;
+    const int sx = win.sx, sy = win.sy;
+    const int gx = win.gx, gy = win.gy;
 
     thread_local MazeScratch s;
     s.begin(static_cast<size_t>(2 * wh));
@@ -116,34 +249,13 @@ RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
         return dir == 0 ? ch.at(wx0 + lx, wy0 + ly) : cv.at(wx0 + lx, wy0 + ly);
     };
 
-    // Lower bound: every remaining column is entered by some horizontal
-    // step and every remaining row by some vertical step, each costing at
-    // least that line's window minimum; a turn is unavoidable while the
-    // cell is off the goal line of its entry direction.
-    s.hx.assign(static_cast<size_t>(w), kUnreached);
-    s.hy.resize(static_cast<size_t>(h));
-    for (int ly = 0; ly < h; ++ly) {
-        double row_min = kUnreached;
-        for (int lx = 0; lx < w; ++lx) {
-            double& col_min = s.hx[static_cast<size_t>(lx)];
-            col_min = std::min(col_min, ch.at(wx0 + lx, wy0 + ly));
-            row_min = std::min(row_min, cv.at(wx0 + lx, wy0 + ly));
-        }
-        s.hy[static_cast<size_t>(ly)] = row_min;
-    }
-    bound_sums(s.hx, gx);
-    bound_sums(s.hy, gy);
-    const double via_bound = via * kShrink;
-    auto bound = [&](int lx, int ly, int dir) {
-        const bool turn = dir == 0 ? ly != gy : lx != gx;
-        return s.hx[static_cast<size_t>(lx)] + s.hy[static_cast<size_t>(ly)] +
-               (turn ? via_bound : 0.0);
-    };
+    fill_bound(m, win, s);
 
     auto push = [&](int key, double g, int lx, int ly, int dir) {
         s.dist[static_cast<size_t>(key)] = g;
         s.mark[static_cast<size_t>(key)] = open;
-        s.heap.push_back({g + bound(lx, ly, dir), g, key});
+        s.heap.push_back(
+            {g + s.h_of(lx, ly, dir, static_cast<size_t>(wh)), g, key});
         std::push_heap(s.heap.begin(), s.heap.end(), pops_after);
     };
     for (int dir = 0; dir < 2; ++dir)

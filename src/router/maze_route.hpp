@@ -18,14 +18,23 @@
 //    predecessor is the settled neighbour with the smallest key whose
 //    distance plus the step cost (cell cost + via on a turn) equals the
 //    node's distance exactly.
-//  - The lower bound h(x,y,dir) is, over the window, the sum of the
-//    per-column minima of cost_h between x (exclusive) and the goal column
-//    (inclusive), plus the sum of the per-row minima of cost_v between y
-//    and the goal row, plus the via cost when a turn is still unavoidable.
-//    Every term is shrunk by a relative 1e-6 so floating-point rounding
-//    cannot make the bound inconsistent.
+//  - The lower bound h is the exact distance to the goal in a relaxed
+//    graph, times 1 - 1e-6. The connection's dominant axis (x when
+//    |dx| >= |dy|, else y), the exact axis, keeps its real cell costs; a
+//    step along the cross axis costs the window minimum of the cross-axis
+//    cost over the line it enters; turns pay the via cost. Every relaxed
+//    edge costs no more than the real one, so h is admissible and
+//    consistent. The cross-axis costs do not depend on the position along
+//    the exact axis, so a relaxed path never steps away from the goal's
+//    line, and one pass over the lines outward from the goal (each a 1D
+//    distance transform along the line) computes the distance exactly.
+//    The shrink keeps rounding from breaking consistency, and it makes
+//    every state on an optimal path settle, with its Dijkstra distance,
+//    before the goal pops. The bound therefore changes how many states
+//    settle, never the path.
 
 #include <iosfwd>
+#include <vector>
 
 #include "router/pattern_route.hpp"
 #include "util/geometry.hpp"
@@ -52,5 +61,15 @@ void write_fingerprint(std::ostream& os, const MazeConfig& c);
 /// only the returned path.
 RoutePath maze_route(int x0, int y0, int x1, int y1, const RouteCostModel& m,
                      const MazeConfig& cfg = {});
+
+/// The lower bound maze_route(x0, y0, x1, y1, m, cfg) searches with (see
+/// the file comment), for tests: the window origin and size, and h per
+/// state at key dir * width * height + (y - y0) * width + (x - x0).
+struct MazeBound {
+    int x0 = 0, y0 = 0, width = 0, height = 0;
+    std::vector<double> h;
+};
+MazeBound maze_lower_bound(int x0, int y0, int x1, int y1,
+                           const RouteCostModel& m, const MazeConfig& cfg = {});
 
 }  // namespace rdp

@@ -742,6 +742,50 @@ TEST(NetlistParseErrorTest, CorruptedFixturesReportTypedLineErrors) {
     }
 }
 
+TEST(NetlistParseErrorTest, OversizedDesignsAreRefusedAtParseTime) {
+    // A valid 9-line netlist whose region holds 2e7 rows once passed the
+    // reader and ended placement in an uncaught std::bad_alloc; a 1e12-tall
+    // region surfaced only as vector::reserve. Both are refused at the line
+    // that completed the size, with the count in the reason.
+    auto netlist = [](const std::string& region, const std::string& site) {
+        return "design probe\n" + region + "\nrowheight 1\n" + site +
+               "\ncell a mov 1 1 2 2\ncell b mov 1 1 6 2\npin 0 0 0\n"
+               "pin 1 0 0\nnet n 1 0 1\n";
+    };
+    struct Case {
+        const char* label;
+        std::string text;
+        int line;
+        const char* count;
+    };
+    const Case cases[] = {
+        {"2e7 rows", netlist("region 0 0 10 2e7", "sitewidth 1"), 3,
+         "20000000 rows"},
+        {"1e12 rows", netlist("region 0 0 10 1e12", "sitewidth 1"), 3,
+         "1000000000000 rows"},
+        {"4e7 sites", netlist("region 0 0 2e7 10", "sitewidth 0.5"), 4,
+         "40000000 sites per row"},
+    };
+    for (const Case& c : cases) {
+        std::istringstream is(c.text);
+        try {
+            read_design(is);
+            FAIL() << c.label << ": expected a ParseError";
+        } catch (const ParseError& e) {
+            EXPECT_EQ(e.line(), c.line) << c.label << ": " << e.what();
+            EXPECT_NE(e.reason().find(c.count), std::string::npos)
+                << c.label << ": " << e.what();
+        }
+    }
+    // At the caps the design is still read.
+    std::istringstream at_cap(
+        netlist("region 0 0 " + std::to_string(kMaxSitesPerRow) + " " +
+                    std::to_string(kMaxRows),
+                "sitewidth 1"));
+    EXPECT_EQ(read_design(at_cap).rows.size(),
+              static_cast<size_t>(kMaxRows));
+}
+
 TEST(NetlistParseErrorTest, ParseErrorIsARuntimeError) {
     // Callers that only know std::runtime_error keep working.
     std::istringstream is("bogus\n");

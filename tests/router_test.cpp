@@ -378,6 +378,86 @@ void expect_same_path(const RoutePath& a, const RoutePath& b,
     }
 }
 
+/// Resize the cost grids to a w x h die shaped like the evaluation RRR's
+/// history costs: base costs, a congested band three G-cells wide across
+/// the x axis (`across_x`, so the band is vertical) or the y axis, open at
+/// two gaps, and history spikes up to 1e3 on about 3% of the cells.
+/// Integer costs make exact ties common.
+void history_field(Rng& rng, int w, int h, bool across_x, bool integer,
+                   GridF& ch, GridF& cv) {
+    ch = GridF(w, h);
+    cv = GridF(w, h);
+    auto draw = [&](double lo, double hi) {
+        return integer ? static_cast<double>(rng.uniform_int(
+                             static_cast<int>(lo), static_cast<int>(hi)))
+                       : rng.uniform(lo, hi);
+    };
+    for (GridF* g : {&ch, &cv})
+        for (double& v : *g) v = draw(1.0, 3.0);
+    const int len = across_x ? w : h;  // the band's position runs along this
+    const int span = across_x ? h : w;
+    const int at = len / 2 - 1;
+    const int gap1 = rng.uniform_int(0, std::max(span / 2 - 3, 0));
+    const int gap2 = rng.uniform_int(span / 2, std::max(span - 3, span / 2));
+    for (int i = std::max(at, 0); i < std::min(at + 3, len); ++i) {
+        for (int j = 0; j < span; ++j) {
+            if ((j >= gap1 && j < gap1 + 3) || (j >= gap2 && j < gap2 + 3))
+                continue;
+            const int x = across_x ? i : j, y = across_x ? j : i;
+            ch.at(x, y) += draw(20.0, 60.0);
+            cv.at(x, y) += draw(20.0, 60.0);
+        }
+    }
+    for (GridF* g : {&ch, &cv})
+        for (double& v : *g)
+            if (rng.uniform(0.0, 1.0) < 0.03) v += draw(100.0, 1000.0);
+}
+
+/// Remaining cost from every (cell, entry direction) state of a w x h
+/// window to the goal (gx, gy): a Dijkstra from both goal states over the
+/// reversed edges. `cost(x, y, dir)` prices entering window cell (x, y) in
+/// direction dir; a turn adds `via`. Keys are dir * w * h + y * w + x.
+std::vector<double> cost_to_goal(
+    int w, int h, int gx, int gy, double via,
+    const std::function<double(int, int, int)>& cost) {
+    const size_t wh = static_cast<size_t>(w) * h;
+    std::vector<double> dist(2 * wh, std::numeric_limits<double>::max());
+    std::vector<char> done(2 * wh, 0);
+    using Item = std::pair<double, size_t>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    for (int dir = 0; dir < 2; ++dir) {
+        const size_t k = dir * wh + static_cast<size_t>(gy) * w + gx;
+        dist[k] = 0.0;
+        pq.push({0.0, k});
+    }
+    while (!pq.empty()) {
+        const auto [d, k] = pq.top();
+        pq.pop();
+        if (done[k]) continue;
+        done[k] = 1;
+        // State k = (x, y, dir) was entered from the neighbour behind it
+        // along dir, in either direction.
+        const int dir = k >= wh ? 1 : 0;
+        const int x = static_cast<int>(k % wh % w);
+        const int y = static_cast<int>(k % wh / w);
+        const double step = cost(x, y, dir);
+        for (const int side : {-1, 1}) {
+            const int px = dir == 0 ? x + side : x;
+            const int py = dir == 0 ? y : y + side;
+            if (px < 0 || px >= w || py < 0 || py >= h) continue;
+            for (int pdir = 0; pdir < 2; ++pdir) {
+                const size_t pk = pdir * wh + static_cast<size_t>(py) * w + px;
+                const double nd = d + (step + (pdir != dir ? via : 0.0));
+                if (!done[pk] && nd < dist[pk]) {
+                    dist[pk] = nd;
+                    pq.push({nd, pk});
+                }
+            }
+        }
+    }
+    return dist;
+}
+
 TEST_F(MazeRouteTest, AStarMatchesDijkstraOracle) {
     // Integer-valued costs make exact ties common, so the tie rule (not
     // just the optimal cost) is checked; costs below 1 exercise the bound
@@ -428,7 +508,155 @@ TEST_F(MazeRouteTest, AStarMatchesDijkstraOracle) {
             }
         }
     }
-    EXPECT_EQ(compared, 480);
+    // History-shaped fields: long connections (windows of 48+ G-cells)
+    // across a congested band open at two gaps, with history spikes, where
+    // the bound's cross-axis runs and its turns matter.
+    const int LW = 64, LH = 56;
+    for (const bool integer_costs : {true, false}) {
+        for (const double via : {0.0, 1.0, 3.0}) {
+            model_.via_cost = via;
+            for (int trial = 0; trial < 10; ++trial) {
+                const bool across_x = trial % 2 == 0;
+                history_field(rng, LW, LH, across_x, integer_costs, cost_h_,
+                              cost_v_);
+                const int lo = rng.uniform_int(0, 8);
+                const int hi = (across_x ? LW : LH) - 1 - rng.uniform_int(0, 8);
+                const int a = rng.uniform_int(0, (across_x ? LH : LW) - 1);
+                const int b = rng.uniform_int(0, (across_x ? LH : LW) - 1);
+                // Alternate the direction of travel across the band.
+                const int from = trial % 4 < 2 ? lo : hi;
+                const int to = trial % 4 < 2 ? hi : lo;
+                if (across_x)
+                    check(from, a, to, b, 8);
+                else
+                    check(a, from, b, to, 8);
+            }
+        }
+    }
+    EXPECT_EQ(compared, 540);
+}
+
+TEST_F(MazeRouteTest, BoundIsAdmissibleAndConsistent) {
+    // The bound must never exceed the true remaining cost (reverse Dijkstra
+    // from the goal over the window) and must be consistent on every edge,
+    // h(u) <= c(u,v) + h(v); it must also equal the relaxed graph's exact
+    // distance, or the DP has lost the tightness the search relies on.
+    Rng rng(1602);
+    int checked = 0;
+    auto check = [&](int x0, int y0, int x1, int y1, int margin) {
+        MazeConfig cfg;
+        cfg.window_margin = margin;
+        const MazeBound b = maze_lower_bound(x0, y0, x1, y1, model_, cfg);
+        const int w = b.width, h = b.height;
+        const size_t wh = static_cast<size_t>(w) * h;
+        ASSERT_EQ(b.h.size(), 2 * wh);
+        const int gx = x1 - b.x0, gy = y1 - b.y0;
+        const double via = model_.via_cost;
+        auto real = [&](int x, int y, int dir) {
+            return dir == 0 ? cost_h_.at(b.x0 + x, b.y0 + y)
+                            : cost_v_.at(b.x0 + x, b.y0 + y);
+        };
+        // Relaxed graph: the dominant axis keeps its costs, a cross-axis
+        // step costs the window minimum over the line it enters.
+        const bool along_x = std::abs(x1 - x0) >= std::abs(y1 - y0);
+        auto relaxed = [&](int x, int y, int dir) {
+            if ((dir == 0) == along_x) return real(x, y, dir);
+            double mn = std::numeric_limits<double>::max();
+            for (int i = 0; i < (along_x ? w : h); ++i)
+                mn = std::min(mn, along_x ? real(i, y, 1) : real(x, i, 0));
+            return mn;
+        };
+        const std::vector<double> rem = cost_to_goal(w, h, gx, gy, via, real);
+        const std::vector<double> rel =
+            cost_to_goal(w, h, gx, gy, via, relaxed);
+        const std::string what =
+            "(" + std::to_string(x0) + "," + std::to_string(y0) + ")->(" +
+            std::to_string(x1) + "," + std::to_string(y1) + ") via " +
+            std::to_string(via) + " margin " + std::to_string(margin);
+        int bad = 0;
+        for (int dir = 0; dir < 2 && bad < 3; ++dir) {
+            for (int y = 0; y < h; ++y) {
+                for (int x = 0; x < w; ++x) {
+                    const size_t u = dir * wh + static_cast<size_t>(y) * w + x;
+                    if (!(b.h[u] <= rem[u])) {
+                        ADD_FAILURE() << what << ": h(" << x << "," << y
+                                      << "," << dir << ") = " << b.h[u]
+                                      << " > remaining cost " << rem[u];
+                        ++bad;
+                    }
+                    if (std::abs(b.h[u] - rel[u] * (1.0 - 1e-6)) >
+                        1e-9 * rel[u]) {
+                        ADD_FAILURE() << what << ": h(" << x << "," << y
+                                      << "," << dir << ") = " << b.h[u]
+                                      << ", relaxed distance " << rel[u];
+                        ++bad;
+                    }
+                    const int moves[4][2] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+                    for (const auto& mv : moves) {
+                        const int nx = x + mv[0], ny = y + mv[1];
+                        if (nx < 0 || nx >= w || ny < 0 || ny >= h) continue;
+                        const int ndir = mv[1] != 0 ? 1 : 0;
+                        const size_t v =
+                            ndir * wh + static_cast<size_t>(ny) * w + nx;
+                        const double c =
+                            real(nx, ny, ndir) + (ndir != dir ? via : 0.0);
+                        if (!(b.h[u] <= c + b.h[v])) {
+                            ADD_FAILURE()
+                                << what << ": h(" << x << "," << y << ","
+                                << dir << ") = " << b.h[u] << " > " << c
+                                << " + h(" << nx << "," << ny << "," << ndir
+                                << ") = " << b.h[v];
+                            ++bad;
+                        }
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(b.h[static_cast<size_t>(gy) * w + gx], 0.0) << what;
+        EXPECT_EQ(b.h[wh + static_cast<size_t>(gy) * w + gx], 0.0) << what;
+        ++checked;
+    };
+    const int W = 40, H = 32;
+    for (const double via : {0.0, 1.0, 3.0}) {
+        model_.via_cost = via;
+        for (int trial = 0; trial < 12; ++trial) {
+            const bool integer_costs = trial % 3 != 0;
+            history_field(rng, W, H, trial % 2 == 0, integer_costs, cost_h_,
+                          cost_v_);
+            // Random and long connections with a margin.
+            check(rng.uniform_int(0, W - 1), rng.uniform_int(0, H - 1),
+                  rng.uniform_int(0, W - 1), rng.uniform_int(0, H - 1), 8);
+            check(rng.uniform_int(0, 5), rng.uniform_int(0, H - 1),
+                  rng.uniform_int(W - 6, W - 1), rng.uniform_int(0, H - 1), 8);
+            check(rng.uniform_int(0, W - 1), rng.uniform_int(0, 5),
+                  rng.uniform_int(0, W - 1), rng.uniform_int(H - 6, H - 1), 8);
+            // Goal on the window edge: margin 0 puts it on the bounding
+            // box's corner or side; a die-edge goal clips the margin.
+            check(rng.uniform_int(0, W - 1), rng.uniform_int(0, H - 1),
+                  rng.uniform_int(0, W - 1), rng.uniform_int(0, H - 1), 0);
+            check(rng.uniform_int(5, W - 6), rng.uniform_int(5, H - 6),
+                  W - 1, rng.uniform_int(0, H - 1), 8);
+            check(rng.uniform_int(5, W - 6), rng.uniform_int(5, H - 6),
+                  rng.uniform_int(0, W - 1), 0, 3);
+            // 1 x n and n x 1 windows.
+            const int y = rng.uniform_int(0, H - 1);
+            const int x = rng.uniform_int(0, W - 1);
+            check(rng.uniform_int(0, W - 1), y, rng.uniform_int(0, W - 1), y,
+                  0);
+            check(x, rng.uniform_int(0, H - 1), x, rng.uniform_int(0, H - 1),
+                  0);
+        }
+    }
+    // A 1-wide and a 1-tall die: windows of one line whatever the margin.
+    for (const auto& [dw, dh] : {std::pair{1, 30}, std::pair{30, 1}}) {
+        for (const double via : {0.0, 1.0, 3.0}) {
+            model_.via_cost = via;
+            history_field(rng, dw, dh, true, true, cost_h_, cost_v_);
+            check(0, 0, dw - 1, dh - 1, 8);
+            check(dw - 1, dh - 1, (dw - 1) / 2, (dh - 1) / 2, 8);
+        }
+    }
+    EXPECT_EQ(checked, 3 * 12 * 8 + 2 * 3 * 2);
 }
 
 TEST_F(MazeRouteTest, ScratchReuseIsStateless) {
